@@ -1524,7 +1524,7 @@ class HvxBackend final : public TargetISA
         return std::static_pointer_cast<const Instr>(h);
     }
 
-    const hvx::Target &target_;
+    hvx::Target target_;
     std::unique_ptr<synth::SwizzleSolver> solver_;
     const synth::SwizzleStats *solver_stats_ = nullptr;
     Deadline deadline_;

@@ -5,7 +5,6 @@
 #include <map>
 #include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "backend/leaf_util.h"
 #include "neon/interp.h"
@@ -45,46 +44,10 @@ now_seconds()
         .count();
 }
 
-/** Is `a` exactly one half (lo or hi) of a source? */
-bool
-is_source_half(const Arrangement &a,
-               const std::vector<NInstrPtr> &sources, int *source,
-               bool *hi)
-{
-    if (a.empty() || a[0].kind != Cell::Kind::Src)
-        return false;
-    const int s = a[0].source;
-    if (s >= static_cast<int>(sources.size()))
-        return false;
-    const int src_lanes = sources[s]->type().lanes;
-    const int n = static_cast<int>(a.size());
-    if (src_lanes != 2 * n)
-        return false;
-    for (int offset : {0, n}) {
-        bool match = true;
-        for (int i = 0; i < n; ++i) {
-            const Cell &c = a[i];
-            if (c.kind != Cell::Kind::Src || c.source != s ||
-                c.lane != offset + i) {
-                match = false;
-                break;
-            }
-        }
-        if (match) {
-            *source = s;
-            *hi = offset == n;
-            return true;
-        }
-    }
-    return false;
-}
-
 /**
  * Goal-directed, budgeted search for Neon data-movement programs —
  * the Neon analog of synth::SwizzleSolver, with the same memo
- * protocol (best program and highest failed budget tracked
- * separately so backtracking's tighter re-queries never clobber a
- * looser solution) and the same stats accounting, but Neon's
+ * (synth::SwizzleMemo) and the same stats accounting, but Neon's
  * repertoire: vld1 for windows, free vget_low/high/vcombine renames,
  * vzip/vuzp for (de)interleaves, vext for funnel shifts and
  * rotations, vrev for reversals, and vtbl as the static-index
@@ -117,7 +80,9 @@ class NeonSwizzleSolver
         // issues: scale the bound into issue units.
         const int scaled =
             budget * std::max(1, target_.regs_for(hole.type));
-        auto result = search(hole.cells, hole.type.elem, sources, scaled);
+        auto result = search(memo_.intern(hole.cells), hole.type.elem,
+                             sources, memo_.intern_sources(hole.sources),
+                             scaled);
         stats_.seconds += now_seconds() - t0;
         if (!result) {
             ++stats_.unsat;
@@ -128,49 +93,7 @@ class NeonSwizzleSolver
     }
 
   private:
-    /** See synth::SwizzleSolver::Result. */
-    struct Result {
-        NInstrPtr instr;
-        int cost = 0;
-        int failed_budget = -1;
-    };
-
-    using Key =
-        std::tuple<Arrangement, ScalarType, std::vector<const NInstr *>>;
-
-    struct KeyHash {
-        size_t
-        operator()(const Key &k) const
-        {
-            uint64_t h = 1469598103934665603ull;
-            auto mix = [&h](uint64_t x) {
-                h = (h ^ x) * 1099511628211ull;
-            };
-            for (const Cell &c : std::get<0>(k)) {
-                mix(static_cast<uint64_t>(c.kind));
-                mix(static_cast<uint64_t>(static_cast<uint32_t>(c.buffer)));
-                mix(static_cast<uint64_t>(static_cast<uint32_t>(c.dy)));
-                mix(static_cast<uint64_t>(static_cast<uint32_t>(c.x)));
-                mix(static_cast<uint64_t>(static_cast<uint32_t>(c.source)));
-                mix(static_cast<uint64_t>(static_cast<uint32_t>(c.lane)));
-            }
-            mix(static_cast<uint64_t>(static_cast<int>(std::get<1>(k))));
-            for (const NInstr *p : std::get<2>(k))
-                mix(reinterpret_cast<uintptr_t>(p));
-            return static_cast<size_t>(h);
-        }
-    };
-
-    static Key
-    key_of(const Arrangement &arr, ScalarType elem,
-           const std::vector<NInstrPtr> &sources)
-    {
-        std::vector<const NInstr *> ids;
-        ids.reserve(sources.size());
-        for (const auto &s : sources)
-            ids.push_back(s.get());
-        return std::make_tuple(arr, elem, std::move(ids));
-    }
+    using Memo = synth::SwizzleMemo;
 
     /** Memoized vld1 so identical loads share one node. */
     NInstrPtr
@@ -193,8 +116,9 @@ class NeonSwizzleSolver
     }
 
     std::optional<std::pair<NInstrPtr, int>>
-    search(const Arrangement &arr, ScalarType elem,
-           const std::vector<NInstrPtr> &sources, int budget)
+    search(Memo::Id arr, ScalarType elem,
+           const std::vector<NInstrPtr> &sources, int32_t sources_id,
+           int budget)
     {
         // Poll before memo writes: an aborted search unwinds without
         // recording anything, so a timeout can never be memoized as
@@ -203,29 +127,25 @@ class NeonSwizzleSolver
 
         if (budget < 0)
             return std::nullopt;
-        const Key key = key_of(arr, elem, sources);
-        auto it = memo_.find(key);
-        if (it != memo_.end()) {
-            const Result &r = it->second;
-            if (r.instr && r.cost <= budget) {
+        const int32_t goal = memo_.goal(arr, sources_id, elem);
+        {
+            const Memo::Entry &e = memo_.entry(goal);
+            if (e.instr && e.cost <= budget) {
                 ++stats_.memo_hits;
-                return std::make_pair(r.instr, r.cost);
+                return std::make_pair(ncast(e.instr), e.cost);
             }
-            if (r.failed_budget >= budget) {
+            if (e.failed_budget >= budget) {
                 ++stats_.memo_hits;
                 return std::nullopt;
             }
+            if (e.active)
+                return std::nullopt; // already exploring this goal
         }
-        if (!active_.insert(key).second)
-            return std::nullopt; // already exploring this goal
-        struct ActiveGuard {
-            std::unordered_set<Key, KeyHash> &set;
-            const Key &key;
-            ~ActiveGuard() { set.erase(key); }
-        } guard{active_, key};
+        Memo::ActiveGoal active(memo_, goal);
 
-        const int n = static_cast<int>(arr.size());
+        const int n = memo_.lanes(arr);
         const VecType type(elem, n);
+        const int ns = static_cast<int>(sources.size());
         std::optional<std::pair<NInstrPtr, int>> best;
         auto consider = [&](NInstrPtr instr, int cost) {
             ++stats_.queries;
@@ -234,12 +154,13 @@ class NeonSwizzleSolver
             if (!best || cost < best->second)
                 best = std::make_pair(std::move(instr), cost);
         };
+        auto sub = [&](Memo::Id a, int b) {
+            return search(a, elem, sources, sources_id, b);
+        };
+        using D = Memo::Derivation;
 
         // Rule: all-zero arrangement -> a zero broadcast (free).
-        bool all_zero = true;
-        for (const Cell &c : arr)
-            all_zero &= c.kind == Cell::Kind::Zero;
-        if (all_zero) {
+        if (memo_.is_zero(arr)) {
             consider(NInstr::make_dup(
                          hir::Expr::make_const(0, VecType(elem, 1)), n),
                      0);
@@ -248,78 +169,65 @@ class NeonSwizzleSolver
         // Rule: contiguous buffer window -> one vld1.
         {
             int buffer = 0, dy = 0, x0 = 0;
-            if (synth::is_window(arr, &buffer, &dy, &x0)) {
+            if (memo_.is_window(arr, &buffer, &dy, &x0)) {
                 NInstrPtr r = read(buffer, dy, x0, type);
                 consider(r, issues_of(r));
             }
         }
 
-        // Rule: identity over one source -> the source itself (free).
+        // Rules: identity over one source -> the source itself; lo /
+        // hi half of a source -> free register renames.
         {
-            int source = 0;
-            if (synth::is_source_identity(arr, &source) &&
-                source < static_cast<int>(sources.size()) &&
-                sources[source]->type() == type)
-                consider(sources[source], 0);
-        }
-
-        // Rule: lo / hi half of a source (free register renames).
-        {
-            int source = 0;
-            bool hi = false;
-            if (is_source_half(arr, sources, &source, &hi) &&
-                sources[source]->type().elem == elem) {
-                consider(NInstr::make(hi ? NOp::Hi : NOp::Lo,
-                                      {sources[source]}),
-                         0);
+            int source = 0, first = 0;
+            if (memo_.is_source_run(arr, &source, &first) &&
+                source < ns) {
+                const NInstrPtr &src = sources[source];
+                if (first == 0 && src->type() == type)
+                    consider(src, 0);
+                if ((first == 0 || first == n) &&
+                    src->type().lanes == 2 * n &&
+                    src->type().elem == elem) {
+                    consider(NInstr::make(first == n ? NOp::Hi : NOp::Lo,
+                                          {src}),
+                             0);
+                }
             }
         }
-
-        auto remember_solved = [&]() {
-            Result &r = memo_[key];
-            if (!r.instr || best->second < r.cost) {
-                r.instr = best->first;
-                r.cost = best->second;
-            }
-        };
 
         if (best && best->second == 0) {
-            remember_solved();
+            memo_.record_solution(goal, best->first, best->second);
             return best;
         }
 
         // Rule: interleave of a solvable arrangement (vzip).
         if (n % 2 == 0 && budget >= 1) {
-            Arrangement d = deinterleave(arr);
-            if (!(d == arr)) {
+            const Memo::Id d = memo_.derived(arr, D::Deinterleave);
+            if (d != arr) {
                 const int step = target_.regs_for(type);
-                if (auto sub = search(d, elem, sources, budget - step)) {
-                    consider(NInstr::make(NOp::Zip, {sub->first}),
-                             sub->second + step);
+                if (auto s = sub(d, budget - step)) {
+                    consider(NInstr::make(NOp::Zip, {s->first}),
+                             s->second + step);
                 }
             }
         }
 
         // Rule: deinterleave of a solvable arrangement (vuzp).
         if (n % 2 == 0 && budget >= 1) {
-            Arrangement s = interleave(arr);
-            if (!(s == arr)) {
+            const Memo::Id i = memo_.derived(arr, D::Interleave);
+            if (i != arr) {
                 const int step = target_.regs_for(type);
-                if (auto sub = search(s, elem, sources, budget - step)) {
-                    consider(NInstr::make(NOp::Uzp, {sub->first}),
-                             sub->second + step);
+                if (auto s = sub(i, budget - step)) {
+                    consider(NInstr::make(NOp::Uzp, {s->first}),
+                             s->second + step);
                 }
             }
         }
 
         // Rule: concatenation of two solvable halves (vcombine, free).
         if (n % 2 == 0 && budget >= 1) {
-            Arrangement lo(arr.begin(), arr.begin() + n / 2);
-            Arrangement hi(arr.begin() + n / 2, arr.end());
-            auto ls = search(lo, elem, sources, budget);
-            if (ls) {
-                auto hs = search(hi, elem, sources, budget - ls->second);
-                if (hs) {
+            if (auto ls = sub(memo_.derived(arr, D::Lo), budget)) {
+                if (auto hs = sub(memo_.derived(arr, D::Hi),
+                                  budget - ls->second)) {
                     consider(NInstr::make(NOp::Combine,
                                           {ls->first, hs->first}),
                              ls->second + hs->second);
@@ -329,30 +237,25 @@ class NeonSwizzleSolver
 
         // Rule: funnel extract across a source pair (vext). Covers
         // both rotations (s == t) and windows sliding across two
-        // already-lowered registers.
+        // already-lowered registers. Cell 0 must be lane r of s and
+        // cell n - r lane 0 of t, so at most one (s, t, r) matches.
         if (budget >= 1) {
-            const int ns = static_cast<int>(sources.size());
-            for (int s = 0; s < ns; ++s) {
-                if (sources[s]->type() != type)
-                    continue;
-                for (int t = 0; t < ns; ++t) {
-                    if (sources[t]->type() != type)
-                        continue;
-                    for (int r = 1; r < n; ++r) {
-                        bool match = true;
-                        for (int i = 0; i < n && match; ++i) {
-                            const Cell want =
-                                i + r < n ? Cell::src(s, i + r)
-                                          : Cell::src(t, i + r - n);
-                            match = arr[i] == want;
-                        }
-                        if (!match)
-                            continue;
-                        NInstrPtr e = NInstr::make(
-                            NOp::Ext, {sources[s], sources[t]},
-                            {static_cast<int64_t>(r)});
-                        consider(e, issues_of(e));
-                    }
+            const Cell c0 = memo_.cell(arr, 0);
+            const int s = c0.source, r = c0.lane;
+            if (c0.kind == Cell::Kind::Src && r >= 1 && r < n && s < ns &&
+                sources[s]->type() == type) {
+                const int t = memo_.cell(arr, n - r).source;
+                bool match = t < ns && sources[t]->type() == type;
+                for (int i = 0; i < n && match; ++i) {
+                    const Cell want = i + r < n ? Cell::src(s, i + r)
+                                                : Cell::src(t, i + r - n);
+                    match = memo_.cell(arr, i) == want;
+                }
+                if (match) {
+                    NInstrPtr e = NInstr::make(
+                        NOp::Ext, {sources[s], sources[t]},
+                        {static_cast<int64_t>(r)});
+                    consider(e, issues_of(e));
                 }
             }
         }
@@ -360,12 +263,12 @@ class NeonSwizzleSolver
         // Rule: reversal of a solvable arrangement (vrev). The
         // active-goal guard breaks the rev(rev(x)) = x cycle.
         if (budget >= 1) {
-            Arrangement rev(arr.rbegin(), arr.rend());
-            if (!(rev == arr)) {
+            const Memo::Id rev = memo_.derived(arr, D::Reverse);
+            if (rev != arr) {
                 const int step = target_.regs_for(type);
-                if (auto sub = search(rev, elem, sources, budget - step)) {
-                    consider(NInstr::make(NOp::Rev, {sub->first}),
-                             sub->second + step);
+                if (auto s = sub(rev, budget - step)) {
+                    consider(NInstr::make(NOp::Rev, {s->first}),
+                             s->second + step);
                 }
             }
         }
@@ -376,12 +279,12 @@ class NeonSwizzleSolver
         // lookup).
         {
             const int cost = 2 * target_.regs_for(type);
-            if (cost <= budget && !sources.empty()) {
+            if (cost <= budget && ns > 0) {
                 int s = -1;
                 bool ok = true;
                 std::vector<int64_t> idx(n, -1);
                 for (int i = 0; i < n && ok; ++i) {
-                    const Cell &c = arr[i];
+                    const Cell c = memo_.cell(arr, i);
                     if (c.kind == Cell::Kind::Zero)
                         continue; // out-of-range index reads as zero
                     if (c.kind != Cell::Kind::Src)
@@ -393,8 +296,7 @@ class NeonSwizzleSolver
                     if (ok && c.kind == Cell::Kind::Src)
                         idx[i] = c.lane;
                 }
-                if (ok && s >= 0 &&
-                    s < static_cast<int>(sources.size()) &&
+                if (ok && s >= 0 && s < ns &&
                     sources[s]->type().elem == elem) {
                     consider(NInstr::make(NOp::Tbl, {sources[s]},
                                           std::move(idx)),
@@ -404,19 +306,17 @@ class NeonSwizzleSolver
         }
 
         if (best) {
-            remember_solved();
+            memo_.record_solution(goal, best->first, best->second);
             return best;
         }
-        Result &r = memo_[key];
-        r.failed_budget = std::max(r.failed_budget, budget);
+        memo_.record_failure(goal, budget);
         return std::nullopt;
     }
 
-    const neon::Target &target_;
+    neon::Target target_;
     synth::SwizzleStats &stats_;
     Deadline deadline_;
-    std::unordered_map<Key, Result, KeyHash> memo_;
-    std::unordered_set<Key, KeyHash> active_;
+    Memo memo_;
     std::map<std::tuple<int, int, int, int, ScalarType>, NInstrPtr>
         reads_;
 };
@@ -1068,9 +968,7 @@ substitute(const NInstrPtr &n, const std::vector<NInstrPtr> &solutions,
 class NeonBackend final : public TargetISA
 {
   public:
-    explicit NeonBackend(const neon::Target &target) : target_(target)
-    {
-    }
+    explicit NeonBackend(const neon::Target &target) : target_(target) {}
 
     std::string name() const override { return "neon"; }
 
@@ -1181,7 +1079,7 @@ class NeonBackend final : public TargetISA
     }
 
   private:
-    const neon::Target &target_;
+    neon::Target target_;
     std::unique_ptr<NeonSwizzleSolver> solver_;
     const synth::SwizzleStats *solver_stats_ = nullptr;
     Deadline deadline_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "sim/linearize.h"
@@ -20,40 +21,6 @@ now_seconds()
         .count();
 }
 
-/** Is `a` exactly one half (lo or hi) of a source? */
-bool
-is_source_half(const Arrangement &a,
-               const std::vector<hvx::InstrPtr> &sources, int *source,
-               bool *hi)
-{
-    if (a.empty() || a[0].kind != Cell::Kind::Src)
-        return false;
-    const int s = a[0].source;
-    if (s >= static_cast<int>(sources.size()))
-        return false;
-    const int src_lanes = sources[s]->type().lanes;
-    const int n = static_cast<int>(a.size());
-    if (src_lanes != 2 * n)
-        return false;
-    for (int offset : {0, n}) {
-        bool match = true;
-        for (int i = 0; i < n; ++i) {
-            const Cell &c = a[i];
-            if (c.kind != Cell::Kind::Src || c.source != s ||
-                c.lane != offset + i) {
-                match = false;
-                break;
-            }
-        }
-        if (match) {
-            *source = s;
-            *hi = offset == n;
-            return true;
-        }
-    }
-    return false;
-}
-
 /**
  * View-based structural checks: `at(i)` yields cell i of a conceptual
  * arrangement of size n without materializing it. The rotation rule
@@ -65,11 +32,11 @@ template <typename At>
 bool
 window_view(int n, const At &at)
 {
-    const Cell &c0 = at(0);
+    const Cell c0 = at(0);
     if (c0.kind != Cell::Kind::Buf)
         return false;
     for (int i = 1; i < n; ++i) {
-        const Cell &c = at(i);
+        const Cell c = at(i);
         if (c.kind != Cell::Kind::Buf || c.buffer != c0.buffer ||
             c.dy != c0.dy || c.x != c0.x + i)
             return false;
@@ -77,52 +44,303 @@ window_view(int n, const At &at)
     return true;
 }
 
+/** Lanes c0.lane, c0.lane + 1, ... of one source. */
 template <typename At>
 bool
-source_identity_view(int n, const At &at)
+source_run_view(int n, const At &at)
 {
-    const Cell &c0 = at(0);
-    if (c0.kind != Cell::Kind::Src || c0.lane != 0)
+    const Cell c0 = at(0);
+    if (c0.kind != Cell::Kind::Src)
         return false;
     for (int i = 1; i < n; ++i) {
-        const Cell &c = at(i);
+        const Cell c = at(i);
         if (c.kind != Cell::Kind::Src || c.source != c0.source ||
-            c.lane != i)
+            c.lane != c0.lane + i)
             return false;
     }
     return true;
 }
 
-} // namespace
+// Packed cell layout, low bits first (SwizzleMemo::pack).
+constexpr int kKindBits = 2, kBufferBits = 10, kDyBits = 10,
+              kSourceBits = 10, kXBits = 16, kLaneBits = 16;
+constexpr int kBufferShift = kKindBits;
+constexpr int kDyShift = kBufferShift + kBufferBits;
+constexpr int kSourceShift = kDyShift + kDyBits;
+constexpr int kXShift = kSourceShift + kSourceBits;
+constexpr int kLaneShift = kXShift + kXBits;
+static_assert(kLaneShift + kLaneBits == 64, "a cell fills one word");
 
-size_t
-SwizzleSolver::KeyHash::operator()(const Key &k) const
+uint64_t
+pack_field(int value, int shift, int bits, bool is_signed,
+           const char *name)
 {
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t x) { h = (h ^ x) * 1099511628211ull; };
-    for (const Cell &c : std::get<0>(k)) {
-        mix(static_cast<uint64_t>(c.kind));
-        mix(static_cast<uint64_t>(static_cast<uint32_t>(c.buffer)));
-        mix(static_cast<uint64_t>(static_cast<uint32_t>(c.dy)));
-        mix(static_cast<uint64_t>(static_cast<uint32_t>(c.x)));
-        mix(static_cast<uint64_t>(static_cast<uint32_t>(c.source)));
-        mix(static_cast<uint64_t>(static_cast<uint32_t>(c.lane)));
-    }
-    mix(static_cast<uint64_t>(static_cast<int>(std::get<1>(k))));
-    for (const hvx::Instr *p : std::get<2>(k))
-        mix(reinterpret_cast<uintptr_t>(p));
-    return static_cast<size_t>(h);
+    const int lo = is_signed ? -(1 << (bits - 1)) : 0;
+    const int hi = is_signed ? (1 << (bits - 1)) - 1 : (1 << bits) - 1;
+    RAKE_CHECK(value >= lo && value <= hi,
+               "swizzle memo: cell " << name << " " << value
+                                     << " outside [" << lo << ", " << hi
+                                     << "]");
+    const uint64_t mask = (uint64_t{1} << bits) - 1;
+    return (static_cast<uint64_t>(value) & mask) << shift;
 }
 
-SwizzleSolver::Key
-SwizzleSolver::key_of(const Arrangement &arr, ScalarType elem,
-                      const std::vector<hvx::InstrPtr> &sources)
+int
+unpack_field(uint64_t word, int shift, int bits, bool is_signed)
 {
-    std::vector<const hvx::Instr *> ids;
-    ids.reserve(sources.size());
+    const int v = static_cast<int>((word >> shift) &
+                                   ((uint64_t{1} << bits) - 1));
+    return is_signed && v >= (1 << (bits - 1)) ? v - (1 << bits) : v;
+}
+
+uint64_t
+mix64(uint64_t h)
+{
+    h ^= h >> 30;
+    h *= 0xbf58476d1ce4e5b9ull;
+    h ^= h >> 27;
+    h *= 0x94d049bb133111ebull;
+    return h ^ (h >> 31);
+}
+
+/**
+ * Linear probe of an open-addressing index (size a power of two, -1
+ * marks an empty slot) for an id `same` accepts; returns the slot
+ * holding it, or the empty slot where it belongs.
+ */
+template <typename Same>
+size_t
+probe(const std::vector<int32_t> &slots, uint64_t hash, const Same &same)
+{
+    const size_t mask = slots.size() - 1;
+    size_t i = hash & mask;
+    while (slots[i] >= 0 && !same(slots[i]))
+        i = (i + 1) & mask;
+    return i;
+}
+
+/** Make room for one more id, keeping the index at most half full. */
+template <typename HashOf>
+void
+reserve_slot(std::vector<int32_t> &slots, size_t count,
+             const HashOf &hash_of)
+{
+    if (2 * (count + 1) <= slots.size())
+        return;
+    std::vector<int32_t> bigger(std::max<size_t>(64, 2 * slots.size()),
+                                -1);
+    for (size_t id = 0; id < count; ++id)
+        bigger[probe(bigger, hash_of(id), [](int32_t) { return false; })] =
+            static_cast<int32_t>(id);
+    slots.swap(bigger);
+}
+
+} // namespace
+
+uint64_t
+SwizzleMemo::pack(const Cell &cell)
+{
+    return static_cast<uint64_t>(cell.kind) |
+           pack_field(cell.buffer, kBufferShift, kBufferBits, false,
+                      "buffer") |
+           pack_field(cell.dy, kDyShift, kDyBits, true, "dy") |
+           pack_field(cell.source, kSourceShift, kSourceBits, false,
+                      "source") |
+           pack_field(cell.x, kXShift, kXBits, true, "x") |
+           pack_field(cell.lane, kLaneShift, kLaneBits, false, "lane");
+}
+
+Cell
+SwizzleMemo::unpack(uint64_t word)
+{
+    Cell c;
+    c.kind = static_cast<Cell::Kind>(word & ((1u << kKindBits) - 1));
+    c.buffer = unpack_field(word, kBufferShift, kBufferBits, false);
+    c.dy = unpack_field(word, kDyShift, kDyBits, true);
+    c.source = unpack_field(word, kSourceShift, kSourceBits, false);
+    c.x = unpack_field(word, kXShift, kXBits, true);
+    c.lane = unpack_field(word, kLaneShift, kLaneBits, false);
+    return c;
+}
+
+SwizzleMemo::Id
+SwizzleMemo::intern(const Arrangement &cells)
+{
+    scratch_.clear();
+    for (const Cell &c : cells)
+        scratch_.push_back(pack(c));
+    return intern_scratch();
+}
+
+SwizzleMemo::Id
+SwizzleMemo::intern_scratch()
+{
+    uint64_t h = scratch_.size();
+    for (uint64_t w : scratch_)
+        h = (h ^ w) * 0x9e3779b97f4a7c15ull;
+    h = mix64(h);
+    reserve_slot(arrangement_slots_, hashes_.size(),
+                 [this](size_t id) { return hashes_[id]; });
+    const size_t slot = probe(arrangement_slots_, h, [&](Id id) {
+        return hashes_[id] == h &&
+               std::equal(scratch_.begin(), scratch_.end(),
+                          arena_.begin() + offsets_[id],
+                          arena_.begin() + offsets_[id + 1]);
+    });
+    if (arrangement_slots_[slot] >= 0)
+        return arrangement_slots_[slot];
+    RAKE_CHECK(hashes_.size() < INT32_MAX &&
+                   arena_.size() + scratch_.size() <= UINT32_MAX,
+               "swizzle memo: arrangement arena full");
+    const Id id = static_cast<Id>(hashes_.size());
+    arena_.insert(arena_.end(), scratch_.begin(), scratch_.end());
+    offsets_.push_back(static_cast<uint32_t>(arena_.size()));
+    hashes_.push_back(h);
+    derived_.push_back({-1, -1, -1, -1, -1});
+    arrangement_slots_[slot] = id;
+    return id;
+}
+
+template <typename From>
+SwizzleMemo::Id
+SwizzleMemo::permuted(Id id, int lanes, const From &from)
+{
+    const uint32_t base = offsets_[id];
+    scratch_.resize(lanes);
+    for (int j = 0; j < lanes; ++j)
+        scratch_[j] = arena_[base + from(j)];
+    return intern_scratch();
+}
+
+SwizzleMemo::Id
+SwizzleMemo::derived(Id id, Derivation d)
+{
+    const int k = static_cast<int>(d);
+    if (derived_[id][k] >= 0)
+        return derived_[id][k];
+    const int n = lanes(id);
+    const int h = n / 2;
+    RAKE_CHECK(d == Derivation::Reverse || n % 2 == 0,
+               "swizzle memo: half-based derivation of odd arrangement");
+    Id out = -1;
+    switch (d) {
+      case Derivation::Deinterleave:
+        out = permuted(id, n, [h](int j) {
+            return j < h ? 2 * j : 2 * (j - h) + 1;
+        });
+        break;
+      case Derivation::Interleave:
+        out = permuted(id, n, [h](int j) {
+            return j % 2 == 0 ? j / 2 : h + j / 2;
+        });
+        break;
+      case Derivation::Lo:
+        out = permuted(id, h, [](int j) { return j; });
+        break;
+      case Derivation::Hi:
+        out = permuted(id, h, [h](int j) { return h + j; });
+        break;
+      case Derivation::Reverse:
+        out = permuted(id, n, [n](int j) { return n - 1 - j; });
+        break;
+    }
+    derived_[id][k] = out; // after interning, which may grow derived_
+    return out;
+}
+
+SwizzleMemo::Id
+SwizzleMemo::rotated(Id id, int r)
+{
+    const int n = lanes(id);
+    return permuted(id, n, [n, r](int i) { return (i + r) % n; });
+}
+
+bool
+SwizzleMemo::is_zero(Id id) const
+{
+    for (int i = 0; i < lanes(id); ++i)
+        if (cell(id, i).kind != Cell::Kind::Zero)
+            return false;
+    return true;
+}
+
+bool
+SwizzleMemo::is_window(Id id, int *buffer, int *dy, int *x0) const
+{
+    if (!window_view(lanes(id), [&](int i) { return cell(id, i); }))
+        return false;
+    const Cell c0 = cell(id, 0);
+    *buffer = c0.buffer;
+    *dy = c0.dy;
+    *x0 = c0.x;
+    return true;
+}
+
+bool
+SwizzleMemo::is_source_run(Id id, int *source, int *first) const
+{
+    if (!source_run_view(lanes(id), [&](int i) { return cell(id, i); }))
+        return false;
+    const Cell c0 = cell(id, 0);
+    *source = c0.source;
+    *first = c0.lane;
+    return true;
+}
+
+int32_t
+SwizzleMemo::intern_sources(
+    const std::vector<backend::InstrHandle> &sources)
+{
+    std::vector<const void *> key;
+    key.reserve(sources.size());
     for (const auto &s : sources)
-        ids.push_back(s.get());
-    return std::make_tuple(arr, elem, std::move(ids));
+        key.push_back(s.get());
+    const auto [it, inserted] = source_ids_.emplace(
+        std::move(key), static_cast<int32_t>(source_lists_.size()));
+    if (inserted) {
+        RAKE_CHECK(source_lists_.size() < (1u << 24),
+                   "swizzle memo: too many source lists");
+        source_lists_.push_back(sources);
+    }
+    return it->second;
+}
+
+int32_t
+SwizzleMemo::goal(Id arrangement, int32_t sources, ScalarType elem)
+{
+    // arrangement (32 bits) | sources (24) | elem (8)
+    const uint64_t key =
+        static_cast<uint64_t>(static_cast<uint32_t>(arrangement)) << 32 |
+        static_cast<uint64_t>(sources) << 8 |
+        static_cast<uint64_t>(elem);
+    reserve_slot(goal_slots_, keys_.size(),
+                 [this](size_t g) { return mix64(keys_[g]); });
+    const size_t slot = probe(goal_slots_, mix64(key),
+                              [&](int32_t g) { return keys_[g] == key; });
+    if (goal_slots_[slot] < 0) {
+        goal_slots_[slot] = static_cast<int32_t>(keys_.size());
+        keys_.push_back(key);
+        entries_.emplace_back();
+    }
+    return goal_slots_[slot];
+}
+
+void
+SwizzleMemo::record_solution(int32_t goal, backend::InstrHandle instr,
+                             int cost)
+{
+    Entry &e = entries_[goal];
+    if (!e.instr || cost < e.cost) {
+        e.instr = std::move(instr);
+        e.cost = cost;
+    }
+}
+
+void
+SwizzleMemo::record_failure(int32_t goal, int budget)
+{
+    Entry &e = entries_[goal];
+    e.failed_budget = std::max(e.failed_budget, budget);
 }
 
 hvx::InstrPtr
@@ -149,7 +367,8 @@ SwizzleSolver::solve(const Hole &hole, int budget)
     for (const auto &s : hole.sources)
         sources.push_back(
             std::static_pointer_cast<const hvx::Instr>(s));
-    auto result = search(hole.cells, hole.type.elem, sources, budget);
+    auto result = search(memo_.intern(hole.cells), hole.type.elem, sources,
+                         memo_.intern_sources(hole.sources), budget);
     stats_.seconds += now_seconds() - t0;
     if (!result) {
         ++stats_.unsat;
@@ -160,9 +379,9 @@ SwizzleSolver::solve(const Hole &hole, int budget)
 }
 
 std::optional<std::pair<hvx::InstrPtr, int>>
-SwizzleSolver::search(const Arrangement &arr, ScalarType elem,
+SwizzleSolver::search(SwizzleMemo::Id arr, ScalarType elem,
                       const std::vector<hvx::InstrPtr> &sources,
-                      int budget)
+                      int32_t sources_id, int budget)
 {
     // Poll before memo writes: a timeout unwinds out of here without
     // recording anything, so an aborted search can never masquerade
@@ -171,28 +390,25 @@ SwizzleSolver::search(const Arrangement &arr, ScalarType elem,
 
     if (budget < 0)
         return std::nullopt;
-    const Key key = key_of(arr, elem, sources);
-    auto it = memo_.find(key);
-    if (it != memo_.end()) {
-        const Result &r = it->second;
-        if (r.instr && r.cost <= budget) {
+    const int32_t goal = memo_.goal(arr, sources_id, elem);
+    {
+        const SwizzleMemo::Entry &e = memo_.entry(goal);
+        if (e.instr && e.cost <= budget) {
             ++stats_.memo_hits;
-            return std::make_pair(r.instr, r.cost);
+            return std::make_pair(
+                std::static_pointer_cast<const hvx::Instr>(e.instr),
+                e.cost);
         }
-        if (r.failed_budget >= budget) {
+        if (e.failed_budget >= budget) {
             ++stats_.memo_hits;
             return std::nullopt;
         }
+        if (e.active)
+            return std::nullopt; // already exploring this goal
     }
-    if (!active_.insert(key).second)
-        return std::nullopt; // already exploring this goal
-    struct ActiveGuard {
-        std::unordered_set<Key, KeyHash> &set;
-        const Key &key;
-        ~ActiveGuard() { set.erase(key); }
-    } guard{active_, key};
+    SwizzleMemo::ActiveGoal active(memo_, goal);
 
-    const int n = static_cast<int>(arr.size());
+    const int n = memo_.lanes(arr);
     const VecType type(elem, n);
     std::optional<std::pair<hvx::InstrPtr, int>> best;
     auto consider = [&](hvx::InstrPtr instr, int cost) {
@@ -202,12 +418,13 @@ SwizzleSolver::search(const Arrangement &arr, ScalarType elem,
         if (!best || cost < best->second)
             best = std::make_pair(std::move(instr), cost);
     };
+    auto sub = [&](SwizzleMemo::Id a, int b) {
+        return search(a, elem, sources, sources_id, b);
+    };
+    using D = SwizzleMemo::Derivation;
 
     // Rule: all-zero arrangement -> a zero splat (free in the loop).
-    bool all_zero = true;
-    for (const Cell &c : arr)
-        all_zero &= c.kind == Cell::Kind::Zero;
-    if (all_zero) {
+    if (memo_.is_zero(arr)) {
         consider(hvx::Instr::make_splat(
                      hir::Expr::make_const(0, VecType(elem, 1)), n),
                  0);
@@ -216,83 +433,66 @@ SwizzleSolver::search(const Arrangement &arr, ScalarType elem,
     // Rule: contiguous buffer window -> one vector read.
     {
         int buffer = 0, dy = 0, x0 = 0;
-        if (is_window(arr, &buffer, &dy, &x0)) {
+        if (memo_.is_window(arr, &buffer, &dy, &x0)) {
             hvx::InstrPtr r = read(buffer, dy, x0, type);
             consider(r, hvx::issue_count(*r, target_));
         }
     }
 
-    // Rule: identity over one source -> the source itself (free).
+    // Rules: identity over one source -> the source itself; lo / hi
+    // half of a source -> free register renames.
     {
-        int source = 0;
-        if (is_source_identity(arr, &source) &&
-            source < static_cast<int>(sources.size()) &&
-            sources[source]->type() == type)
-            consider(sources[source], 0);
-    }
-
-    // Rule: lo / hi half of a source (free register renames).
-    {
-        int source = 0;
-        bool hi = false;
-        if (is_source_half(arr, sources, &source, &hi) &&
-            sources[source]->type().elem == elem) {
-            consider(hvx::Instr::make(hi ? hvx::Opcode::VHi
-                                         : hvx::Opcode::VLo,
-                                      {sources[source]}),
-                     0);
+        int source = 0, first = 0;
+        if (memo_.is_source_run(arr, &source, &first) &&
+            source < static_cast<int>(sources.size())) {
+            const hvx::InstrPtr &src = sources[source];
+            if (first == 0 && src->type() == type)
+                consider(src, 0);
+            if ((first == 0 || first == n) &&
+                src->type().lanes == 2 * n && src->type().elem == elem) {
+                consider(hvx::Instr::make(first == n ? hvx::Opcode::VHi
+                                                     : hvx::Opcode::VLo,
+                                          {src}),
+                         0);
+            }
         }
     }
-
-    // Merge into the memo without discarding what is already known:
-    // keep the cheapest program ever found, and separately the
-    // highest budget that failed.
-    auto remember_solved = [&]() {
-        Result &r = memo_[key];
-        if (!r.instr || best->second < r.cost) {
-            r.instr = best->first;
-            r.cost = best->second;
-        }
-    };
 
     if (best && best->second == 0) {
-        remember_solved();
+        memo_.record_solution(goal, best->first, best->second);
         return best;
     }
 
     // Rule: interleave of a solvable arrangement (vshuffvdd).
     if (n % 2 == 0 && budget >= 1) {
-        Arrangement d = deinterleave(arr);
-        if (!(d == arr)) {
-            if (auto sub = search(d, elem, sources, budget - 1)) {
+        const auto d = memo_.derived(arr, D::Deinterleave);
+        if (d != arr) {
+            if (auto s = sub(d, budget - 1)) {
                 consider(hvx::Instr::make(hvx::Opcode::VShuffVdd,
-                                          {sub->first}),
-                         sub->second + 1);
+                                          {s->first}),
+                         s->second + 1);
             }
         }
     }
 
     // Rule: deinterleave of a solvable arrangement (vdealvdd).
     if (n % 2 == 0 && budget >= 1) {
-        Arrangement s = interleave(arr);
-        if (!(s == arr)) {
-            if (auto sub = search(s, elem, sources, budget - 1)) {
+        const auto i = memo_.derived(arr, D::Interleave);
+        if (i != arr) {
+            if (auto s = sub(i, budget - 1)) {
                 consider(hvx::Instr::make(hvx::Opcode::VDealVdd,
-                                          {sub->first}),
-                         sub->second + 1);
+                                          {s->first}),
+                         s->second + 1);
             }
         }
     }
 
     // Rule: concatenation of two solvable halves (vcombine).
     if (n % 2 == 0 && budget >= 1) {
-        Arrangement lo(arr.begin(), arr.begin() + n / 2);
-        Arrangement hi(arr.begin() + n / 2, arr.end());
-        auto ls = search(lo, elem, sources, budget - 1);
-        if (ls) {
-            auto hs = search(hi, elem, sources,
-                             budget - 1 - ls->second);
-            if (hs) {
+        const auto lo = memo_.derived(arr, D::Lo);
+        if (auto ls = sub(lo, budget - 1)) {
+            const auto hi = memo_.derived(arr, D::Hi);
+            if (auto hs = sub(hi, budget - 1 - ls->second)) {
                 consider(hvx::Instr::make(hvx::Opcode::VCombine,
                                           {ls->first, hs->first}),
                          ls->second + hs->second + 1);
@@ -309,43 +509,41 @@ SwizzleSolver::search(const Arrangement &arr, ScalarType elem,
         for (int r = 1; r < n; ++r) {
             // unrot[i] = rotate(arr, n - r)[i] = arr[(i + n - r) % n].
             // Structuredness is decided through index views composed
-            // on top of `arr`; the rotation is only materialized for
-            // the (rare) rotations that pass.
-            auto at_unrot = [&arr, n, r](int i) -> const Cell & {
-                return arr[(i + n - r) % n];
+            // on top of `arr`; the rotation is only interned for the
+            // (rare) rotations that pass.
+            auto at_unrot = [this, arr, n, r](int i) {
+                return memo_.cell(arr, (i + n - r) % n);
             };
             // interleave(unrot)[j] reads unrot[j/2] (even j) or
             // unrot[h + j/2] (odd j); deinterleave(unrot)[j] reads
             // unrot[2j] (j < h) or unrot[2(j-h)+1].
-            auto at_ileave = [&at_unrot, h](int j) -> const Cell & {
+            auto at_ileave = [&at_unrot, h](int j) {
                 return at_unrot(j % 2 == 0 ? j / 2 : h + j / 2);
             };
-            auto at_deint = [&at_unrot, h](int j) -> const Cell & {
+            auto at_deint = [&at_unrot, h](int j) {
                 return at_unrot(j < h ? 2 * j : 2 * (j - h) + 1);
             };
             bool structured =
                 window_view(n, at_unrot) ||
-                source_identity_view(n, at_unrot);
+                (at_unrot(0).lane == 0 && source_run_view(n, at_unrot));
             if (!structured && n % 2 == 0)
                 structured = window_view(n, at_ileave) ||
                              window_view(n, at_deint);
             if (!structured)
                 continue;
-            Arrangement unrot = rotate(arr, n - r);
-            if (auto sub = search(unrot, elem, sources, budget - 1)) {
+            if (auto s = sub(memo_.rotated(arr, n - r), budget - 1)) {
                 consider(hvx::Instr::make(hvx::Opcode::VRor,
-                                          {sub->first}, {r}),
-                         sub->second + 1);
+                                          {s->first}, {r}),
+                         s->second + 1);
             }
         }
     }
 
     if (best) {
-        remember_solved();
+        memo_.record_solution(goal, best->first, best->second);
         return best;
     }
-    Result &r = memo_[key];
-    r.failed_budget = std::max(r.failed_budget, budget);
+    memo_.record_failure(goal, budget);
     return std::nullopt;
 }
 

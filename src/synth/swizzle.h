@@ -13,11 +13,11 @@
 #ifndef RAKE_SYNTH_SWIZZLE_H
 #define RAKE_SYNTH_SWIZZLE_H
 
+#include <array>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "hvx/cost.h"
@@ -34,6 +34,145 @@ struct SwizzleStats {
     int unsat = 0;     ///< holes proven infeasible within budget
     int memo_hits = 0; ///< goals answered from the memo table
     double seconds = 0.0;
+};
+
+/**
+ * The swizzle search's memo, shared by every backend's solver
+ * (DESIGN.md "Interned swizzle memo"). Goals are identified by
+ * integers, not by value:
+ *
+ *  - each distinct arrangement gets a dense id and is stored once, in
+ *    a flat arena of packed cells (pack());
+ *  - the deinterleave, interleave, lo half, hi half and reverse of an
+ *    arrangement are computed on first use and cached per id;
+ *  - a hole's source list gets an id once per solve;
+ *  - a goal (arrangement, sources, element type) is one 64-bit key
+ *    into a single hash table of Entry records.
+ *
+ * One memo lives as long as its solver, i.e. one lowering run;
+ * sharing it wider would turn searches into memo hits and change
+ * Table 1's query counts.
+ */
+class SwizzleMemo
+{
+  public:
+    /** Dense id of an interned arrangement. */
+    using Id = int32_t;
+
+    /** Arrangements derived from another, cached per id. */
+    enum class Derivation : uint8_t {
+        Deinterleave, ///< deinterleave(a); even lanes only
+        Interleave,   ///< interleave(a); even lanes only
+        Lo,           ///< first half; even lanes only
+        Hi,           ///< second half; even lanes only
+        Reverse,      ///< lanes in reverse order
+    };
+
+    /**
+     * Memo record of one goal. A positive result (instr + cost) and
+     * the highest budget a search came up empty at are tracked in
+     * separate fields: backtracking re-queries the same goal at a
+     * *tighter* budget (Algorithm 2 shrinks beta), and that failure
+     * must not clobber a solution already found at a looser budget —
+     * later higher-budget queries still want it.
+     */
+    struct Entry {
+        backend::InstrHandle instr; ///< best known program (null = none)
+        int cost = 0;               ///< its cost (when found)
+        int failed_budget = -1;     ///< highest budget proven infeasible
+        bool active = false;        ///< goal is being searched right now
+    };
+
+    /**
+     * Marks a goal active for the lifetime of the guard, so a search
+     * that reaches its own goal again (rev(rev(x)), shuffle/deal
+     * cycles) is cut instead of recursing forever.
+     */
+    class ActiveGoal
+    {
+      public:
+        ActiveGoal(SwizzleMemo &memo, int32_t goal) : memo_(memo), goal_(goal)
+        {
+            memo_.entry(goal_).active = true;
+        }
+        ~ActiveGoal() { memo_.entry(goal_).active = false; }
+        ActiveGoal(const ActiveGoal &) = delete;
+        ActiveGoal &operator=(const ActiveGoal &) = delete;
+
+      private:
+        SwizzleMemo &memo_;
+        int32_t goal_;
+    };
+
+    /**
+     * One cell as a 64-bit word, low bits first: kind (2 bits), buffer
+     * (10, 0..1023), dy (10, -512..511), source (10, 0..1023), x (16,
+     * -32768..32767), lane (16, 0..65535). A field outside its range
+     * fails a RAKE_CHECK; it is never truncated.
+     */
+    static uint64_t pack(const Cell &cell);
+    static Cell unpack(uint64_t word);
+
+    /** Id of `cells`, interning it on first sight. */
+    Id intern(const Arrangement &cells);
+    /** Id of the arrangement `d` derives from `id` (cached). */
+    Id derived(Id id, Derivation d);
+    /** Id of rotate(cells(id), r) (not cached). */
+    Id rotated(Id id, int r);
+
+    int lanes(Id id) const
+    {
+        return static_cast<int>(offsets_[id + 1] - offsets_[id]);
+    }
+    Cell cell(Id id, int i) const { return unpack(arena_[offsets_[id] + i]); }
+
+    /** Every cell is Zero. */
+    bool is_zero(Id id) const;
+    /** A contiguous single-row buffer window [x0, x0 + lanes). */
+    bool is_window(Id id, int *buffer, int *dy, int *x0) const;
+    /** Lanes first, first + 1, ... of one source. */
+    bool is_source_run(Id id, int *source, int *first) const;
+
+    /**
+     * Id of a source list (by instruction identity). The memo keeps
+     * the instructions alive, so an id never aliases a later list
+     * whose nodes reuse freed addresses.
+     */
+    int32_t intern_sources(const std::vector<backend::InstrHandle> &sources);
+
+    /**
+     * Index of the goal's entry, inserting an empty one (which answers
+     * nothing, exactly like an absent one). Indices stay valid for the
+     * memo's lifetime; Entry references do not survive an insertion.
+     */
+    int32_t goal(Id arrangement, int32_t sources, ScalarType elem);
+    Entry &entry(int32_t goal) { return entries_[goal]; }
+
+    /** Keep the cheaper of the stored program and `instr`. */
+    void record_solution(int32_t goal, backend::InstrHandle instr, int cost);
+    /** No program within `budget` exists. */
+    void record_failure(int32_t goal, int budget);
+
+  private:
+    Id intern_scratch();
+    template <typename From> Id permuted(Id id, int lanes, const From &from);
+
+    // Arrangements: id's packed cells are
+    // arena_[offsets_[id], offsets_[id + 1]).
+    std::vector<uint64_t> arena_;
+    std::vector<uint32_t> offsets_{0};
+    std::vector<uint64_t> hashes_;
+    std::vector<std::array<Id, 5>> derived_; ///< -1 until computed
+    std::vector<int32_t> arrangement_slots_; ///< open addressing, -1 empty
+    std::vector<uint64_t> scratch_;
+
+    std::map<std::vector<const void *>, int32_t> source_ids_;
+    std::vector<std::vector<backend::InstrHandle>> source_lists_;
+
+    // Goals: entry g has key keys_[g].
+    std::vector<uint64_t> keys_;
+    std::vector<Entry> entries_;
+    std::vector<int32_t> goal_slots_; ///< open addressing, -1 empty
 };
 
 /** Goal-directed, budgeted search for data-movement programs. */
@@ -60,52 +199,18 @@ class SwizzleSolver
     void set_deadline(const Deadline &deadline) { deadline_ = deadline; }
 
   private:
-    /**
-     * Memo entry for one goal. A positive result (instr + cost) and
-     * the highest budget a search came up empty at are tracked in
-     * separate fields: backtracking re-queries the same goal at a
-     * *tighter* budget (Algorithm 2 shrinks beta), and that failure
-     * must not clobber a solution already found at a looser budget —
-     * later higher-budget queries still want it.
-     */
-    struct Result {
-        hvx::InstrPtr instr;   ///< best known program (null = none yet)
-        int cost = 0;          ///< its instruction count (when found)
-        int failed_budget = -1;///< highest budget proven infeasible
-    };
-
-    /**
-     * Memo key: the goal arrangement, its element type, and the
-     * identities of the source values Src cells refer to (the same
-     * arrangement over different sources is a different goal).
-     */
-    using Key = std::tuple<Arrangement, ScalarType,
-                           std::vector<const hvx::Instr *>>;
-
-    /**
-     * Cell-wise FNV hash over the full key. Lookups used to go
-     * through std::map, whose lexicographic Cell comparisons were a
-     * measurable slice of synthesis time on deep swizzle searches.
-     */
-    struct KeyHash {
-        size_t operator()(const Key &k) const;
-    };
-
-    static Key key_of(const Arrangement &arr, ScalarType elem,
-                      const std::vector<hvx::InstrPtr> &sources);
-
     std::optional<std::pair<hvx::InstrPtr, int>>
-    search(const Arrangement &arr, ScalarType elem,
-           const std::vector<hvx::InstrPtr> &sources, int budget);
+    search(SwizzleMemo::Id arr, ScalarType elem,
+           const std::vector<hvx::InstrPtr> &sources, int32_t sources_id,
+           int budget);
 
     /** Memoized VRead so identical loads share one node. */
     hvx::InstrPtr read(int buffer, int dy, int x0, VecType type);
 
-    const hvx::Target &target_;
+    hvx::Target target_;
     SwizzleStats &stats_;
     Deadline deadline_;
-    std::unordered_map<Key, Result, KeyHash> memo_;
-    std::unordered_set<Key, KeyHash> active_;
+    SwizzleMemo memo_;
     std::map<std::tuple<int, int, int, int, ScalarType>, hvx::InstrPtr>
         reads_;
 };

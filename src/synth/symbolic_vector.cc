@@ -122,38 +122,6 @@ rotate(const Arrangement &a, int r)
     return out;
 }
 
-bool
-is_window(const Arrangement &a, int *buffer, int *dy, int *x0)
-{
-    if (a.empty() || a[0].kind != Cell::Kind::Buf)
-        return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-        const Cell &c = a[i];
-        if (c.kind != Cell::Kind::Buf || c.buffer != a[0].buffer ||
-            c.dy != a[0].dy || c.x != a[0].x + static_cast<int>(i))
-            return false;
-    }
-    *buffer = a[0].buffer;
-    *dy = a[0].dy;
-    *x0 = a[0].x;
-    return true;
-}
-
-bool
-is_source_identity(const Arrangement &a, int *source)
-{
-    if (a.empty() || a[0].kind != Cell::Kind::Src || a[0].lane != 0)
-        return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-        const Cell &c = a[i];
-        if (c.kind != Cell::Kind::Src || c.source != a[0].source ||
-            c.lane != static_cast<int>(i))
-            return false;
-    }
-    *source = a[0].source;
-    return true;
-}
-
 Value
 arrangement_value(const Hole &hole, const Env &env,
                   const hvx::HoleOracle &oracle)

@@ -116,12 +116,6 @@ Arrangement interleave(const Arrangement &a);
 /** out[i] = a[(i + r) mod lanes] (the ror permutation). */
 Arrangement rotate(const Arrangement &a, int r);
 
-/** Is `a` a contiguous single-row buffer window? */
-bool is_window(const Arrangement &a, int *buffer, int *dy, int *x0);
-
-/** Is `a` the identity over one full source? */
-bool is_source_identity(const Arrangement &a, int *source);
-
 /**
  * A sketch hole: required type + arrangement + the lowered values
  * that Src cells reference. Sources are type-erased backend handles

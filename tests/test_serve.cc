@@ -19,11 +19,13 @@
 #include <unistd.h>
 
 #include "backend/hvx_backend.h"
+#include "backend/neon_backend.h"
 #include "hir/builder.h"
 #include "hir/printer.h"
 #include "hir/sexpr.h"
 #include "hir/simplify.h"
 #include "pipeline/benchmarks.h"
+#include "serve/backends.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "support/histogram.h"
@@ -484,6 +486,36 @@ TEST(Service, MalformedExpressionIsAnError)
     EXPECT_FALSE(reply.error.empty());
     // Errors are rejected before synthesis: no latency sample.
     EXPECT_EQ(service.metrics().latency_count, 0);
+}
+
+TEST(Service, DefaultRegistryBackendsOwnTheirTargets)
+{
+    // The default registry builds each backend from a temporary
+    // Target. A backend that kept a reference to it read a dead stack
+    // slot on every query, so fresh answers diverged from in-process
+    // selections made with a long-lived model.
+    synth::ServiceConfig config;
+    config.backends = serve::default_backend_registry();
+    synth::SelectService service(config);
+    synth::ServiceRequest req;
+    req.backend = "neon";
+    req.expr = to_sexpr(cast(u8, (cast(u16, load(0, u8, 16)) * 3 +
+                                  cast(u16, load(0, u8, 16, 2)) + 5) >>
+                                     2));
+    const synth::ServiceReply reply = service.select(req);
+    ASSERT_EQ(reply.status, synth::SynthStatus::Ok) << reply.error;
+    EXPECT_EQ(reply.tier, "cegis");
+    ASSERT_TRUE(reply.found);
+
+    const neon::Target machine;
+    auto isa = backend::make_neon_backend(machine);
+    synth::RakeOptions opts;
+    opts.use_cache = false;
+    auto local =
+        synth::select_instructions_for(parse_expr(req.expr), *isa, opts);
+    ASSERT_TRUE(local.has_value());
+    ASSERT_NE(local->instr, nullptr);
+    EXPECT_EQ(reply.instr, isa->instr_to_sexpr(local->instr));
 }
 
 TEST(Service, MetricsJsonKeysAreStable)

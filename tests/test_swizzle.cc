@@ -2,12 +2,18 @@
  * @file
  * Tests for the swizzle synthesizer (§5): goal-directed search over
  * the data-movement grammar, budget behaviour, memoization across
- * holes with different sources, and query accounting.
+ * holes with different sources, query accounting, and the interned
+ * memo itself (ids, derivations, cell packing, per-backend goldens).
  */
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "backend/hvx_backend.h"
+#include "backend/neon_backend.h"
 #include "hir/builder.h"
 #include "hvx/interp.h"
+#include "neon/instr.h"
 #include "synth/cache.h"
 #include "synth/swizzle.h"
 
@@ -303,6 +309,255 @@ TEST(Swizzle, QueriesAreCounted)
     solve_checked(h, 5, stats);
     EXPECT_GT(stats.queries, 3);
     EXPECT_GT(stats.seconds, 0.0);
+}
+
+TEST(SwizzleMemo, EqualArrangementsInternToOneId)
+{
+    SwizzleMemo memo;
+    const SwizzleMemo::Id a = memo.intern(window_cells(0, 0, 0, 8));
+    EXPECT_EQ(memo.intern(window_cells(0, 0, 0, 8)), a);
+    EXPECT_NE(memo.intern(window_cells(0, 0, 1, 8)), a);
+    EXPECT_NE(memo.intern(window_cells(0, 0, 0, 4)), a);
+    EXPECT_NE(memo.intern(source_cells(0, 8)), a);
+    EXPECT_EQ(memo.lanes(a), 8);
+    EXPECT_TRUE(memo.cell(a, 3) == Cell::buf(0, 0, 3));
+
+    // A goal is (arrangement, sources, element type): each part
+    // separates goals, and asking again finds the same entry.
+    hvx::InstrPtr s1 = hvx::Instr::make_read(hir::LoadRef{0, 0, 0},
+                                             VecType(u8, 8));
+    hvx::InstrPtr s2 = hvx::Instr::make_read(hir::LoadRef{0, 1, 0},
+                                             VecType(u8, 8));
+    const int32_t none = memo.intern_sources({});
+    const int32_t one = memo.intern_sources({s1});
+    EXPECT_EQ(memo.intern_sources({s1}), one);
+    EXPECT_NE(memo.intern_sources({s2}), one);
+    EXPECT_NE(one, none);
+    const int32_t g = memo.goal(a, none, u8);
+    EXPECT_EQ(memo.goal(a, none, u8), g);
+    EXPECT_NE(memo.goal(a, one, u8), g);
+    EXPECT_NE(memo.goal(a, none, ScalarType::UInt16), g);
+    EXPECT_NE(memo.goal(memo.intern(source_cells(0, 8)), none, u8), g);
+}
+
+TEST(SwizzleMemo, DerivationsMatchTheArrangementAlgebra)
+{
+    SwizzleMemo memo;
+    using D = SwizzleMemo::Derivation;
+    const Arrangement w = concat(window_cells(0, -1, 0, 4),
+                                 window_cells(1, 2, 7, 4));
+    const SwizzleMemo::Id id = memo.intern(w);
+    const SwizzleMemo::Id deint = memo.derived(id, D::Deinterleave);
+    EXPECT_EQ(deint, memo.intern(deinterleave(w)));
+    EXPECT_EQ(memo.derived(deint, D::Interleave), id);
+    EXPECT_EQ(memo.derived(memo.derived(id, D::Interleave),
+                           D::Deinterleave),
+              id);
+    EXPECT_EQ(memo.derived(id, D::Lo),
+              memo.intern(window_cells(0, -1, 0, 4)));
+    EXPECT_EQ(memo.derived(id, D::Hi),
+              memo.intern(window_cells(1, 2, 7, 4)));
+    const Arrangement rev(w.rbegin(), w.rend());
+    EXPECT_EQ(memo.derived(id, D::Reverse), memo.intern(rev));
+    EXPECT_EQ(memo.derived(memo.derived(id, D::Reverse), D::Reverse), id);
+    EXPECT_EQ(memo.rotated(id, 3), memo.intern(rotate(w, 3)));
+    // Cached: asking again answers the same id.
+    EXPECT_EQ(memo.derived(id, D::Deinterleave), deint);
+}
+
+TEST(SwizzleMemo, PackingRoundTripsAtFieldEdges)
+{
+    auto round_trip = [](const Cell &c) {
+        return SwizzleMemo::unpack(SwizzleMemo::pack(c)) == c;
+    };
+    EXPECT_TRUE(round_trip(Cell::zero()));
+    for (int buffer : {0, 1023})
+        for (int dy : {-512, 0, 511})
+            for (int x : {-32768, -1, 0, 32767})
+                EXPECT_TRUE(round_trip(Cell::buf(buffer, dy, x)))
+                    << buffer << " " << dy << " " << x;
+    for (int source : {0, 1023})
+        for (int lane : {0, 65535})
+            EXPECT_TRUE(round_trip(Cell::src(source, lane)))
+                << source << " " << lane;
+    // Every field at once, so no field's bits leak into another's.
+    Cell all = Cell::buf(1023, -512, 32767);
+    all.kind = Cell::Kind::Src;
+    all.source = 1023;
+    all.lane = 65535;
+    EXPECT_TRUE(round_trip(all));
+}
+
+TEST(SwizzleMemo, OutOfRangeCellFailsCheck)
+{
+    // One past each field's range must fail the check, not wrap into
+    // a different (equal-looking) cell.
+    for (const Cell &c :
+         {Cell::buf(1024, 0, 0), Cell::buf(-1, 0, 0),
+          Cell::buf(0, 512, 0), Cell::buf(0, -513, 0),
+          Cell::buf(0, 0, 32768), Cell::buf(0, 0, -32769),
+          Cell::src(1024, 0), Cell::src(-1, 0), Cell::src(0, 65536),
+          Cell::src(0, -1)}) {
+        EXPECT_THROW(SwizzleMemo::pack(c), InternalError);
+        SwizzleMemo memo;
+        EXPECT_THROW(memo.intern({c}), InternalError);
+    }
+}
+
+/**
+ * A fixed hole set solved in order by one backend's solver, so later
+ * holes hit goals memoized by earlier ones: windows, (de)interleaves,
+ * halves, rotations, reversals, funnel extracts over two sources, a
+ * gather and a zero fill, at a tight and then a loose budget, then
+ * the loose pass again (answered from the memo).
+ */
+struct GoldenRun {
+    SwizzleStats stats;
+    std::vector<std::string> sexprs; ///< the first two passes
+};
+
+GoldenRun
+golden_run(backend::TargetISA &isa,
+           const std::function<backend::InstrHandle(int, VecType)> &read)
+{
+    const VecType v16(u8, 16), v32(u8, 32), w16(ScalarType::UInt16, 16);
+    const std::vector<backend::InstrHandle> two = {read(0, v16),
+                                                   read(16, v16)};
+    Arrangement ext, gather;
+    for (int i = 0; i < 16; ++i) {
+        ext.push_back(i + 5 < 16 ? Cell::src(0, i + 5)
+                                 : Cell::src(1, i + 5 - 16));
+        gather.push_back(Cell::src(0, (7 * i + 3) % 16));
+    }
+    const Arrangement w = window_cells(0, 0, 0, 16);
+    const std::vector<Hole> holes = {
+        {v16, window_cells(0, 0, -2, 16), {}},
+        {v16, deinterleave(w), {}},
+        {v16, interleave(window_cells(0, 1, 0, 16)), {}},
+        {v16, concat(window_cells(0, -1, 0, 8), window_cells(0, 1, 0, 8)),
+         {}},
+        {v16, rotate(w, 5), {}},
+        {v16,
+         interleave(concat(window_cells(0, -1, 0, 8),
+                           window_cells(0, 1, 3, 8))),
+         {}},
+        {v16, Arrangement(w.rbegin(), w.rend()), {}},
+        {v16, ext, two},
+        {v16, rotate(source_cells(1, 16), 9), two},
+        {v32, deinterleave(concat(source_cells(0, 16), source_cells(1, 16))),
+         two},
+        {v16, gather, two},
+        {v16, Arrangement(16, Cell::zero()), {}},
+        {w16, deinterleave(window_cells(1, 2, 4, 16)), {}},
+        {w16, rotate(interleave(window_cells(1, 0, -3, 16)), 2), {}},
+    };
+    GoldenRun run;
+    std::vector<std::string> third;
+    for (int pass = 0; pass < 3; ++pass) {
+        for (const Hole &h : holes) {
+            auto sol = isa.solve_hole(h, pass == 0 ? 1 : 4, run.stats);
+            std::string text = sol ? isa.instr_to_sexpr(*sol) : "unsat";
+            (pass < 2 ? run.sexprs : third).push_back(std::move(text));
+        }
+    }
+    EXPECT_EQ(third, std::vector<std::string>(run.sexprs.begin() + 14,
+                                              run.sexprs.end()));
+    return run;
+}
+
+/** Checks golden_run against pinned stats and selections. */
+void
+expect_golden(const GoldenRun &run, int queries, int memo_hits, int solved,
+              int unsat, const std::vector<std::string> &sexprs)
+{
+    EXPECT_EQ(run.stats.queries, queries);
+    EXPECT_EQ(run.stats.memo_hits, memo_hits);
+    EXPECT_EQ(run.stats.solved, solved);
+    EXPECT_EQ(run.stats.unsat, unsat);
+    EXPECT_EQ(run.sexprs, sexprs);
+}
+
+TEST(Swizzle, GoldenHvxStatsAndSelections)
+{
+    auto isa = backend::make_hvx_backend(hvx::Target{});
+    GoldenRun run = golden_run(*isa, [](int dx, VecType t) {
+        return hvx::Instr::make_read(hir::LoadRef{0, dx, 0}, t);
+    });
+    expect_golden(run, 76, 201, 25, 17, {
+        // budget 1
+        "(vmem u8x16 0 -2 0)",
+        "unsat",
+        "unsat",
+        "unsat",
+        "unsat",
+        "unsat",
+        "unsat",
+        "unsat",
+        "(vror u8x16 (vmem u8x16 0 16 0) #9)",
+        "unsat",
+        "unsat",
+        "(vsplat u8x16 (const u8 0))",
+        "unsat",
+        "unsat",
+        // budget 4
+        "(vmem u8x16 0 -2 0)",
+        "(vdealvdd u8x16 (vmem u8x16 0 0 0))",
+        "(vshuffvdd u8x16 (vmem u8x16 0 0 1))",
+        "(vcombine u8x16 (vmem u8x8 0 0 -1) (vmem u8x8 0 0 1))",
+        "(vror u8x16 (vmem u8x16 0 0 0) #5)",
+        "(vshuffvdd u8x16 (vcombine u8x16 (vmem u8x8 0 0 -1) (vmem"
+        " u8x8 0 3 1)))",
+        "unsat",
+        "unsat",
+        "(vror u8x16 (vmem u8x16 0 16 0) #9)",
+        "(vdealvdd u8x32 (vcombine u8x32 (vmem u8x16 0 0 0) (vmem"
+        " u8x16 0 16 0)))",
+        "unsat",
+        "(vsplat u8x16 (const u8 0))",
+        "(vdealvdd u16x16 (vmem u16x16 1 4 2))",
+        "(vror u16x16 (vshuffvdd u16x16 (vmem u16x16 1 -3 0)) #2)",
+    });
+}
+
+TEST(Swizzle, GoldenNeonStatsAndSelections)
+{
+    auto isa = backend::make_neon_backend(neon::Target{});
+    GoldenRun run = golden_run(*isa, [](int dx, VecType t) {
+        return neon::NInstr::make_load(hir::LoadRef{0, dx, 0}, t);
+    });
+    expect_golden(run, 1428, 7122, 28, 14, {
+        // budget 1
+        "(vld1 u8x16 0 -2 0)",
+        "unsat",
+        "unsat",
+        "unsat",
+        "unsat",
+        "unsat",
+        "unsat",
+        "(vext u8x16 (vld1 u8x16 0 0 0) (vld1 u8x16 0 16 0) #5)",
+        "(vext u8x16 (vld1 u8x16 0 16 0) (vld1 u8x16 0 16 0) #9)",
+        "unsat",
+        "unsat",
+        "(vdup u8x16 (const u8 0))",
+        "unsat",
+        "unsat",
+        // budget 4
+        "(vld1 u8x16 0 -2 0)",
+        "(vuzp u8x16 (vld1 u8x16 0 0 0))",
+        "(vzip u8x16 (vld1 u8x16 0 0 1))",
+        "(vcombine u8x16 (vld1 u8x8 0 0 -1) (vld1 u8x8 0 0 1))",
+        "unsat",
+        "(vzip u8x16 (vcombine u8x16 (vld1 u8x8 0 0 -1) (vld1 u8x8 0 3 1)))",
+        "(vrev u8x16 (vld1 u8x16 0 0 0))",
+        "(vext u8x16 (vld1 u8x16 0 0 0) (vld1 u8x16 0 16 0) #5)",
+        "(vext u8x16 (vld1 u8x16 0 16 0) (vld1 u8x16 0 16 0) #9)",
+        "(vuzp u8x32 (vcombine u8x32 (vld1 u8x16 0 0 0) (vld1 u8x16 0 16 0)))",
+        "(vtbl u8x16 (vld1 u8x16 0 0 0) #3 #10 #1 #8 #15 #6 #13 #4"
+        " #11 #2 #9 #0 #7 #14 #5 #12)",
+        "(vdup u8x16 (const u8 0))",
+        "(vuzp u16x16 (vld1 u16x16 1 4 2))",
+        "unsat",
+    });
 }
 
 } // namespace

@@ -150,22 +150,25 @@ TEST(SymbolicVector, LayoutPermutations)
 
 TEST(SymbolicVector, ArrangementAlgebra)
 {
+    SwizzleMemo memo;
     Arrangement w = window_cells(0, 0, -1, 8);
     int buffer = 0, dy = 0, x0 = 0;
-    EXPECT_TRUE(is_window(w, &buffer, &dy, &x0));
+    EXPECT_TRUE(memo.is_window(memo.intern(w), &buffer, &dy, &x0));
     EXPECT_EQ(x0, -1);
 
     Arrangement d = deinterleave(w);
-    EXPECT_FALSE(is_window(d, &buffer, &dy, &x0));
+    EXPECT_FALSE(memo.is_window(memo.intern(d), &buffer, &dy, &x0));
     EXPECT_TRUE(interleave(d) == w);
     EXPECT_TRUE(deinterleave(interleave(w)) == w);
     EXPECT_TRUE(rotate(rotate(w, 3), 5) == w);
 
     Arrangement s = source_cells(0, 8);
-    int src = -1;
-    EXPECT_TRUE(is_source_identity(s, &src));
+    int src = -1, first = -1;
+    EXPECT_TRUE(memo.is_source_run(memo.intern(s), &src, &first));
     EXPECT_EQ(src, 0);
-    EXPECT_FALSE(is_source_identity(rotate(s, 1), &src));
+    EXPECT_EQ(first, 0);
+    EXPECT_FALSE(memo.is_source_run(memo.intern(rotate(s, 1)), &src,
+                                    &first));
 }
 
 TEST(SymbolicVector, OracleReadsBufferAndSources)
