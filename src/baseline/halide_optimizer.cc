@@ -289,14 +289,19 @@ class BaselineSelector
             return coerce(mutate(a), want);
         if (ob == 2 * ib)
             return widen_linear(a, want.elem);
-        if (ob == 4 * ib) {
-            // Two widening rounds.
+        if (ob > ib) {
+            // One widening round per doubling of the width.
             ScalarType mid = widen(a->type().elem);
             InstrPtr m = widen_linear(a, mid);
-            InstrPtr w = Instr::make(is_signed(mid) ? Opcode::VSxt
-                                                    : Opcode::VZxt,
-                                     {m});
-            return coerce(to_linear(w), want);
+            for (;;) {
+                InstrPtr w = Instr::make(is_signed(mid) ? Opcode::VSxt
+                                                        : Opcode::VZxt,
+                                         {m});
+                mid = widen(mid);
+                if (bits(mid) == ob)
+                    return coerce(to_linear(w), want);
+                m = coerce(to_linear(w), a->type().with_elem(mid));
+            }
         }
 
         // Narrowing. Halide's rules: an avg shape becomes vavg; a
@@ -332,22 +337,19 @@ class BaselineSelector
             return coerce(Instr::make(Opcode::VPackE, {lo_h, hi_h}),
                           want);
         }
-        if (ib == 4 * ob) {
-            ScalarType mid = narrow(a->type().elem);
-            InstrPtr pair = deal(mutate(a));
-            InstrPtr m = coerce(
-                Instr::make(Opcode::VPackE,
+        // Wider ratios: one truncating pack per halving of the width.
+        ScalarType mid = a->type().elem;
+        InstrPtr m = mutate(a);
+        for (;;) {
+            mid = narrow(mid);
+            InstrPtr pair = deal(m);
+            m = Instr::make(Opcode::VPackE,
                             {Instr::make(Opcode::VLo, {pair}),
-                             Instr::make(Opcode::VHi, {pair})}),
-                a->type().with_elem(mid));
-            InstrPtr pair2 = deal(m);
-            return coerce(
-                Instr::make(Opcode::VPackE,
-                            {Instr::make(Opcode::VLo, {pair2}),
-                             Instr::make(Opcode::VHi, {pair2})}),
-                want);
+                             Instr::make(Opcode::VHi, {pair})});
+            if (bits(mid) == ob)
+                return coerce(m, want);
+            m = coerce(m, a->type().with_elem(mid));
         }
-        RAKE_UNREACHABLE("unexpected cast ratio in baseline");
     }
 
     /**

@@ -38,6 +38,69 @@ Assembler::qword(int64_t v)
         byte(static_cast<uint8_t>(u >> (8 * i)));
 }
 
+const std::vector<uint8_t> &
+Assembler::code() const
+{
+    RAKE_CHECK(pending_fixups_ == 0, "jump to a label never bound");
+    return code_;
+}
+
+namespace {
+
+void
+patch_rel32(std::vector<uint8_t> &code, size_t field, size_t target)
+{
+    // rel32 counts from the end of its own 4-byte field.
+    const int64_t rel = static_cast<int64_t>(target) -
+                        static_cast<int64_t>(field + 4);
+    RAKE_CHECK(rel >= INT32_MIN && rel <= INT32_MAX,
+               "branch out of rel32 range");
+    const uint32_t u = static_cast<uint32_t>(static_cast<int32_t>(rel));
+    for (int i = 0; i < 4; ++i)
+        code[field + i] = static_cast<uint8_t>(u >> (8 * i));
+}
+
+} // namespace
+
+void
+Assembler::rel32(Label &l)
+{
+    const size_t field = code_.size();
+    dword(0);
+    if (l.pos_ != Label::kUnbound) {
+        patch_rel32(code_, field, l.pos_);
+    } else {
+        l.fixups_.push_back(field);
+        ++pending_fixups_;
+    }
+}
+
+void
+Assembler::bind(Label &l)
+{
+    RAKE_CHECK(l.pos_ == Label::kUnbound, "label bound twice");
+    l.pos_ = code_.size();
+    for (size_t field : l.fixups_)
+        patch_rel32(code_, field, l.pos_);
+    pending_fixups_ -= l.fixups_.size();
+    l.fixups_.clear();
+}
+
+void
+Assembler::jmp(Label &l)
+{
+    byte(0xE9);
+    rel32(l);
+}
+
+void
+Assembler::jcc(Cond cc, Label &l)
+{
+    byte(0x0F);
+    byte(0x80 | static_cast<uint8_t>(cc));
+    rel32(l);
+}
+
 void
 Assembler::rex(bool w, uint8_t reg, uint8_t index, uint8_t rm)
 {

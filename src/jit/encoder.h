@@ -9,11 +9,13 @@
  * method per instruction form, each writing REX/ModRM/SIB/immediate
  * bytes. Memory operands are always [base + disp32] or
  * [base + index*8 + disp32]: uniform encodings keep the emitter
- * simple, and code size is irrelevant next to correctness here.
+ * simple.
  *
- * Everything emitted is position-independent straight-line code — no
- * jumps, no labels, no relocations — so sealing into an ExecBuffer is
- * a plain copy.
+ * Control flow is rel32 jumps to Labels. A jump to a label not yet
+ * bound records a fixup that bind() patches, so forward and backward
+ * branches both work. Every branch is relative and nothing else
+ * refers to an absolute address, so the code is position-independent
+ * and sealing into an ExecBuffer is a plain copy.
  */
 #ifndef RAKE_JIT_ENCODER_H
 #define RAKE_JIT_ENCODER_H
@@ -52,7 +54,8 @@ enum class Vreg : uint8_t {
     xmm3 = 3,
 };
 
-/** Condition codes (the low nibble of the 0F 4x / 0F 9x opcodes). */
+/** Condition codes (the low nibble of the 0F 4x / 0F 8x / 0F 9x
+ *  opcodes). */
 enum class Cond : uint8_t {
     e = 0x4,  ///< equal
     ne = 0x5, ///< not equal
@@ -71,11 +74,32 @@ enum class VecOp : uint8_t {
     pxor = 0xEF,
 };
 
+/**
+ * A branch target in one Assembler's code. Jumps may reach it before
+ * or after Assembler::bind() fixes its position.
+ */
+class Label
+{
+  private:
+    friend class Assembler;
+    static constexpr size_t kUnbound = ~size_t{0};
+    size_t pos_ = kUnbound;
+    std::vector<size_t> fixups_; ///< rel32 fields awaiting pos_
+};
+
 class Assembler
 {
   public:
-    const std::vector<uint8_t> &code() const { return code_; }
+    /** The code so far; every label a jump uses must be bound. */
+    const std::vector<uint8_t> &code() const;
     size_t size() const { return code_.size(); }
+
+    // --- branches (rel32) ---
+    /** Fix `l` at the current position and patch jumps already
+     *  emitted to it. A label is bound once. */
+    void bind(Label &l);
+    void jmp(Label &l);
+    void jcc(Cond cc, Label &l);
 
     // --- stack / control ---
     void push(Reg r);
@@ -136,6 +160,8 @@ class Assembler
     void byte(uint8_t b) { code_.push_back(b); }
     void dword(int32_t v);
     void qword(int64_t v);
+    /** The rel32 field of a jump to `l`, patched later if unbound. */
+    void rel32(Label &l);
     void rex(bool w, uint8_t reg, uint8_t index, uint8_t rm);
     /** ModRM mod=11 register-direct form. */
     void modrm_reg(uint8_t reg, uint8_t rm);
@@ -147,6 +173,7 @@ class Assembler
               uint8_t pp);
 
     std::vector<uint8_t> code_;
+    size_t pending_fixups_ = 0; ///< rel32 fields not yet patched
 };
 
 } // namespace rake::jit

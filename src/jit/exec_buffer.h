@@ -7,8 +7,8 @@
  * executable) while code is being copied in, and executable (and
  * never writable) afterwards — the two permissions are never held at
  * the same time. There is no relocation step: the lowerer emits
- * position-independent straight-line code, so sealing is a copy plus
- * an mprotect.
+ * position-independent code (its only branches are rel32-relative),
+ * so sealing is a copy plus an mprotect.
  */
 #ifndef RAKE_JIT_EXEC_BUFFER_H
 #define RAKE_JIT_EXEC_BUFFER_H

@@ -93,27 +93,30 @@ simd_level()
 }
 
 void
-Program::bind(const Env &env)
+Program::bind(const std::map<int, BufferView> &buffers,
+              const std::map<std::string, int64_t> &scalars)
 {
     for (size_t k = 0; k < buf_ids_.size(); ++k) {
-        const Buffer &b = env.buffer(buf_ids_[k]);
-        const auto it = load_elems_.find(buf_ids_[k]);
+        const int id = buf_ids_[k];
+        const auto bit = buffers.find(id);
+        RAKE_USER_CHECK(bit != buffers.end(),
+                        "jit: no buffer " << id << " bound");
+        const BufferView &b = bit->second;
+        const auto it = load_elems_.find(id);
         RAKE_CHECK(it != load_elems_.end(), "descriptor without a load");
         RAKE_USER_CHECK(b.elem == it->second,
-                        "jit: buffer " << buf_ids_[k] << " is "
+                        "jit: buffer " << id << " is "
                                        << to_string(b.elem)
                                        << " but the program loads "
                                        << to_string(it->second));
-        RAKE_USER_CHECK(b.width > 0 && b.height > 0,
-                        "jit: empty buffer " << buf_ids_[k]);
-        BufferDesc &desc = bufs_[k];
-        desc.data = b.data.data();
-        desc.width = b.width;
-        desc.height = b.height;
-        desc.x0 = b.x0;
-        desc.y0 = b.y0;
+        RAKE_USER_CHECK(b.desc.width > 0 && b.desc.height > 0,
+                        "jit: empty buffer " << id);
+        bufs_[k] = b.desc;
     }
-    scalar_interp_.reset(env);
+    splat_env_.scalars.clear();
+    for (const auto &[name, v] : scalars)
+        splat_env_.scalars.emplace(name, v);
+    scalar_interp_.reset(splat_env_);
     for (const SplatSite &sp : splats_) {
         const int64_t c =
             wrap(sp.elem, scalar_interp_.eval(sp.expr).as_scalar());
@@ -123,8 +126,27 @@ Program::bind(const Env &env)
     bound_ = true;
 }
 
-const Value &
-Program::run(int x, int y)
+void
+Program::bind(const Env &env)
+{
+    std::map<int, BufferView> buffers;
+    for (const auto &[id, b] : env.buffers) {
+        BufferView &v = buffers[id];
+        v.elem = b.elem;
+        v.desc.data = b.data.data();
+        v.desc.width = b.width;
+        v.desc.height = b.height;
+        v.desc.x0 = b.x0;
+        v.desc.y0 = b.y0;
+    }
+    std::map<std::string, int64_t> scalars;
+    for (const auto &[name, v] : env.scalars)
+        scalars.emplace(name, v);
+    bind(buffers, scalars);
+}
+
+void
+Program::run_into(int x, int y, int64_t *out)
 {
     RAKE_CHECK(bound_, "jit: run() before bind()");
     Frame frame;
@@ -133,9 +155,14 @@ Program::run(int x, int y)
     frame.bufs = bufs_.data();
     frame.arena = arena_.data();
     fn_(&frame);
-    std::memcpy(out_value_.lanes.data(),
-                arena_.data() + out_slot_,
+    std::memcpy(out, arena_.data() + out_slot_,
                 static_cast<size_t>(out_type_.lanes) * sizeof(int64_t));
+}
+
+const Value &
+Program::run(int x, int y)
+{
+    run_into(x, y, out_value_.lanes.data());
     return out_value_;
 }
 

@@ -7,16 +7,23 @@
  * carrier representation the interpreters use), lane counts and
  * immediates are compile-time constants, so every HVX index map
  * (deinterleave, interleave, concat, align, rotate) becomes a
- * constant displacement and the emitted code is fully unrolled,
- * relocation-free straight-line x86-64. Element-wise ops take an
- * SSE2 or AVX2 packed fast path where one exists; everything else is
- * exact scalar code reproducing base/arith.h bit for bit.
+ * constant displacement and node bodies are unrolled, relocation-free
+ * x86-64. Element-wise ops take an SSE2 or AVX2 packed fast path
+ * where one exists; everything else is exact scalar code reproducing
+ * base/arith.h bit for bit.
+ *
+ * Loads (vmem) are the one place with branches. Each load tests once
+ * per tile whether its lanes lie wholly inside the buffer's row; an
+ * interior tile copies the row in packed chunks, an edge tile runs
+ * Buffer::at's clamp in a compact loop over lanes. At
+ * SimdLevel::Scalar the interior copy is scalar too.
  *
  * The compiled function has C ABI `void fn(Frame *)`: the frame
  * carries the tile origin (x, y), the bound input-buffer
- * descriptors, and the arena pointer. Splat values are loop
- * invariant and are evaluated host-side at bind() time, straight
- * into their arena slots.
+ * descriptors, and the arena pointer. Descriptors point straight at
+ * the caller's pixels: bind() copies no buffer. Splat values are loop
+ * invariant and are evaluated host-side at bind() time, from the
+ * scalar variables alone, straight into their arena slots.
  *
  * Only meaningful on x86-64 hosts: available() is false elsewhere
  * and compile() throws UserError, so callers can gate cleanly.
@@ -61,6 +68,13 @@ struct BufferDesc {
     int64_t y0 = 0;
 };
 
+/** An input buffer as bind() takes it: the caller's pixels and
+ *  geometry, borrowed, not copied. */
+struct BufferView {
+    ScalarType elem = ScalarType::UInt8;
+    BufferDesc desc;
+};
+
 /** The single argument of a compiled program (SysV: rdi). */
 struct Frame {
     int64_t x = 0;
@@ -81,16 +95,21 @@ class Program
     static std::unique_ptr<Program> compile(const hvx::InstrPtr &code);
 
     /**
-     * Bind an environment: resolve buffer descriptors against
-     * env.buffers and evaluate every splat's scalar expression into
-     * its arena slots. The env (and its buffers) must outlive all
-     * run() calls made under this binding. Callers bind once per
-     * image pass — there is deliberately no "already bound to this
-     * env?" query: envs are typically stack locals, and a fresh env
+     * Bind inputs: point the buffer descriptors at `buffers` (by
+     * buffer id; pixels are borrowed, never copied) and evaluate
+     * every splat's scalar expression over `scalars` into its arena
+     * slots. The pixels must outlive all run() calls made under this
+     * binding. Callers bind once per image pass — there is
+     * deliberately no "already bound to these buffers?" query: the
+     * buffers are typically owned by stack locals, and a fresh buffer
      * can land on a dead one's address, so pointer identity cannot
      * tell a live binding from a stale one (that aliasing once read
      * freed buffer descriptors; binding again is always safe).
      */
+    void bind(const std::map<int, BufferView> &buffers,
+              const std::map<std::string, int64_t> &scalars);
+
+    /** Same, over an environment's buffers and scalars. */
     void bind(const Env &env);
 
     /**
@@ -99,6 +118,10 @@ class Program
      * run(). bind() must have been called.
      */
     const Value &run(int x, int y);
+
+    /** Execute one tile and copy its out_type().lanes lanes to
+     *  `out`. bind() must have been called. */
+    void run_into(int x, int y, int64_t *out);
 
     const VecType &out_type() const { return out_type_; }
 
@@ -137,6 +160,7 @@ class Program
     SimdLevel simd_ = SimdLevel::Scalar;
 
     bool bound_ = false;
+    Env splat_env_; ///< scalars only: splats read no buffer
     hir::Interpreter scalar_interp_;
     Value out_value_;
 };

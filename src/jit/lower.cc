@@ -5,10 +5,18 @@
  * The machine-IR layer of the JIT: walks the selected instruction DAG
  * in topological order, gives every node a run of int64 arena slots
  * (one per lane, the interpreters' carrier representation), and emits
- * straight-line code computing each node's lanes from its operands'
- * slots. Lane counts and immediates are compile-time constants, so
- * every HVX index map (deint/ileave/cat/align/ror) reduces to a
- * constant displacement — no loops, no tables, no relocations.
+ * code computing each node's lanes from its operands' slots. Lane
+ * counts and immediates are compile-time constants, so every HVX
+ * index map (deint/ileave/cat/align/ror) reduces to a constant
+ * displacement — no tables, no relocations — and node bodies are
+ * unrolled over their lanes.
+ *
+ * Loads are the exception. A vmem tests at run time, once per tile,
+ * whether its lanes lie inside the buffer row: an interior tile
+ * copies the row in SSE2/AVX2 chunks and wraps them packed; an edge
+ * tile runs Buffer::at's clamp lane by lane in a small loop, so the
+ * rare path costs a few dozen bytes rather than an unrolled copy per
+ * lane. At SimdLevel::Scalar the interior copy is scalar too.
  *
  * Scalar lowering mirrors base/arith.h operation by operation (the
  * bit-identity contract the differential tests and the fuzz oracle
@@ -22,6 +30,7 @@
 #include <vector>
 
 #include "base/arith.h"
+#include "hir/analysis.h"
 #include "jit/encoder.h"
 #include "jit/jit.h"
 #include "support/error.h"
@@ -221,6 +230,35 @@ class Lowerer
 
     // --- packed fast path ---
     int simd_chunk() const { return simd_ == SimdLevel::Avx2 ? 4 : 2; }
+    /** xmm0 (ymm0 at AVX2) = one chunk at [base + d]. */
+    void
+    vec_load(Reg base, int32_t d)
+    {
+        if (simd_ == SimdLevel::Avx2) {
+            used_avx_ = true;
+            a_.vmovdqu_load(Vreg::xmm0, base, d);
+        } else {
+            a_.movdqu_load(Vreg::xmm0, base, d);
+        }
+    }
+    /** xmm0 (ymm0) op= one chunk at [kArena + d]. */
+    void
+    vec_op_mem(VecOp op, int32_t d)
+    {
+        if (simd_ == SimdLevel::Avx2)
+            a_.avx_op_mem(op, Vreg::xmm0, Vreg::xmm0, kArena, d);
+        else
+            a_.sse_op_mem(op, Vreg::xmm0, kArena, d);
+    }
+    /** Lanes [lane, lane + chunk) of node n = xmm0 (ymm0). */
+    void
+    vec_store(const Instr &n, int lane)
+    {
+        if (simd_ == SimdLevel::Avx2)
+            a_.vmovdqu_store(kArena, disp(&n, lane), Vreg::xmm0);
+        else
+            a_.movdqu_store(kArena, disp(&n, lane), Vreg::xmm0);
+    }
     /**
      * Packed `vop` over identity-indexed lanes of args 0 and 1, with
      * the wrap-to-elem fixup. Covers lanes [0, r); the caller emits
@@ -277,6 +315,11 @@ Lowerer::collect(const hvx::InstrPtr &n)
         }
     }
     if (n->op() == hvx::Opcode::VSplat) {
+        // bind() evaluates splats once per image, from the scalars
+        // alone; a splat that loaded pixels would vary per tile.
+        RAKE_USER_CHECK(hir::collect_loads(n->splat_value()).empty(),
+                        "jit: a splat value that loads from a buffer "
+                        "is not loop-invariant");
         Program::SplatSite sp;
         sp.expr = n->splat_value();
         sp.slot = slot_.at(n.get());
@@ -294,28 +337,12 @@ Lowerer::emit_simd_wrap(ScalarType s, int chunk)
         return;
     const int64_t mask =
         static_cast<int64_t>((uint64_t{1} << b) - 1);
-    const int32_t mask_d = slot_disp(const_slot(mask, chunk));
-    if (simd_ == SimdLevel::Avx2) {
-        a_.avx_op_mem(VecOp::pand, Vreg::xmm0, Vreg::xmm0, kArena,
-                      mask_d);
-        if (is_signed(s)) {
-            const int64_t sign =
-                static_cast<int64_t>(uint64_t{1} << (b - 1));
-            const int32_t sign_d = slot_disp(const_slot(sign, chunk));
-            a_.avx_op_mem(VecOp::pxor, Vreg::xmm0, Vreg::xmm0, kArena,
-                          sign_d);
-            a_.avx_op_mem(VecOp::psubq, Vreg::xmm0, Vreg::xmm0, kArena,
-                          sign_d);
-        }
-    } else {
-        a_.sse_op_mem(VecOp::pand, Vreg::xmm0, kArena, mask_d);
-        if (is_signed(s)) {
-            const int64_t sign =
-                static_cast<int64_t>(uint64_t{1} << (b - 1));
-            const int32_t sign_d = slot_disp(const_slot(sign, chunk));
-            a_.sse_op_mem(VecOp::pxor, Vreg::xmm0, kArena, sign_d);
-            a_.sse_op_mem(VecOp::psubq, Vreg::xmm0, kArena, sign_d);
-        }
+    vec_op_mem(VecOp::pand, slot_disp(const_slot(mask, chunk)));
+    if (is_signed(s)) {
+        const int64_t sign = static_cast<int64_t>(uint64_t{1} << (b - 1));
+        const int32_t sign_d = slot_disp(const_slot(sign, chunk));
+        vec_op_mem(VecOp::pxor, sign_d);
+        vec_op_mem(VecOp::psubq, sign_d);
     }
 }
 
@@ -324,25 +351,14 @@ Lowerer::emit_simd_bin(const Instr &n, VecOp vop)
 {
     if (simd_ == SimdLevel::Scalar)
         return 0;
-    const ScalarType s = n.type().elem;
     const int L = n.type().lanes;
     const int chunk = simd_chunk();
     int i = 0;
     for (; i + chunk <= L; i += chunk) {
-        if (simd_ == SimdLevel::Avx2) {
-            used_avx_ = true;
-            a_.vmovdqu_load(Vreg::xmm0, kArena, adisp(n, 0, i));
-            a_.avx_op_mem(vop, Vreg::xmm0, Vreg::xmm0, kArena,
-                          adisp(n, 1, i));
-        } else {
-            a_.movdqu_load(Vreg::xmm0, kArena, adisp(n, 0, i));
-            a_.sse_op_mem(vop, Vreg::xmm0, kArena, adisp(n, 1, i));
-        }
-        emit_simd_wrap(s, chunk);
-        if (simd_ == SimdLevel::Avx2)
-            a_.vmovdqu_store(kArena, disp(&n, i), Vreg::xmm0);
-        else
-            a_.movdqu_store(kArena, disp(&n, i), Vreg::xmm0);
+        vec_load(kArena, adisp(n, 0, i));
+        vec_op_mem(vop, adisp(n, 1, i));
+        emit_simd_wrap(n.type().elem, chunk);
+        vec_store(n, i);
     }
     return i;
 }
@@ -352,26 +368,15 @@ Lowerer::emit_simd_not(const Instr &n)
 {
     if (simd_ == SimdLevel::Scalar)
         return 0;
-    const ScalarType s = n.type().elem;
     const int L = n.type().lanes;
     const int chunk = simd_chunk();
     const int32_t ones_d = slot_disp(const_slot(-1, chunk));
     int i = 0;
     for (; i + chunk <= L; i += chunk) {
-        if (simd_ == SimdLevel::Avx2) {
-            used_avx_ = true;
-            a_.vmovdqu_load(Vreg::xmm0, kArena, adisp(n, 0, i));
-            a_.avx_op_mem(VecOp::pxor, Vreg::xmm0, Vreg::xmm0, kArena,
-                          ones_d);
-        } else {
-            a_.movdqu_load(Vreg::xmm0, kArena, adisp(n, 0, i));
-            a_.sse_op_mem(VecOp::pxor, Vreg::xmm0, kArena, ones_d);
-        }
-        emit_simd_wrap(s, chunk);
-        if (simd_ == SimdLevel::Avx2)
-            a_.vmovdqu_store(kArena, disp(&n, i), Vreg::xmm0);
-        else
-            a_.movdqu_store(kArena, disp(&n, i), Vreg::xmm0);
+        vec_load(kArena, adisp(n, 0, i));
+        vec_op_mem(VecOp::pxor, ones_d);
+        emit_simd_wrap(n.type().elem, chunk);
+        vec_store(n, i);
     }
     return i;
 }
@@ -411,16 +416,58 @@ Lowerer::emit_vread(const Instr &n)
     a_.sub(Reg::r10, Reg::rcx);
     a_.lea(Reg::r8, Reg::rsi, -1);
     a_.xor_(Reg::rcx, Reg::rcx);
-    for (int i = 0; i < L; ++i) {
-        a_.lea(Reg::rax, Reg::r10, i); // ix, then edge-clamp
+    // rax = wrap(row[clamp(rax, 0, width - 1)]), as Buffer::at.
+    auto clamped_load = [&] {
         a_.cmp(Reg::rax, Reg::rcx);
         a_.cmov(Cond::l, Reg::rax, Reg::rcx);
         a_.cmp(Reg::rax, Reg::r8);
         a_.cmov(Cond::g, Reg::rax, Reg::r8);
         a_.load_index8(Reg::rax, Reg::r9, Reg::rax);
         wrap_reg(Reg::rax, s);
+    };
+
+    // Interior tile (0 <= ix and ix + L - 1 <= width - 1): no lane
+    // clamps, so the row is copied in packed chunks (lane by lane at
+    // SimdLevel::Scalar).
+    Label edge, done;
+    a_.test(Reg::r10, Reg::r10);
+    a_.jcc(Cond::l, edge);
+    a_.lea(Reg::rax, Reg::r10, L);
+    a_.cmp(Reg::rax, Reg::rsi);
+    a_.jcc(Cond::g, edge);
+    a_.lea_index8(Reg::r9, Reg::r9, Reg::r10); // r9 = &row[ix]
+    int i = 0;
+    if (simd_ != SimdLevel::Scalar) {
+        const int chunk = simd_chunk();
+        for (; i + chunk <= L; i += chunk) {
+            vec_load(Reg::r9, 8 * i);
+            emit_simd_wrap(s, chunk);
+            vec_store(n, i);
+        }
+    }
+    for (; i < L; ++i) {
+        a_.load(Reg::rax, Reg::r9, 8 * i);
+        wrap_reg(Reg::rax, s);
         st(n, i, Reg::rax);
     }
+    a_.jmp(done);
+
+    // Edge tile: Buffer::at's clamp, one lane per trip of a runtime
+    // loop. r11 = ix walks [r10, r10 + L); rdx = the lane's slot.
+    a_.bind(edge);
+    a_.mov(Reg::r11, Reg::r10);
+    a_.lea(Reg::rsi, Reg::r10, L);
+    a_.lea(Reg::rdx, kArena, disp(&n, 0));
+    Label lane;
+    a_.bind(lane);
+    a_.mov(Reg::rax, Reg::r11);
+    clamped_load();
+    a_.store(Reg::rdx, 0, Reg::rax);
+    a_.add_imm32(Reg::rdx, 8);
+    a_.add_imm32(Reg::r11, 1);
+    a_.cmp(Reg::r11, Reg::rsi);
+    a_.jcc(Cond::l, lane);
+    a_.bind(done);
 }
 
 void

@@ -103,7 +103,8 @@ Image run_tiles_jit(const hvx::InstrPtr &code,
 /**
  * Same, over an already-compiled program (no validation): the timing
  * paths use this to keep one-time jit compilation out of the
- * steady-state measurement.
+ * steady-state measurement. The program is bound to the input images'
+ * pixels in place, so a call copies no frame.
  */
 Image run_tiles_jit_with(jit::Program &program,
                          const std::map<int, Image> &inputs,
@@ -146,9 +147,11 @@ Image run_dag(const PipelineDag &dag,
 
 /**
  * Staged execution of jit-compiled per-stage programs. Each stage is
- * lowered to native code once and run per tile; stage boundaries are
- * validated by run_dag_with as usual, and each tile is additionally
- * cross-checked against the interpreter when opts.validate.
+ * lowered to native code once, bound straight to its input images
+ * (externals and intermediates alike; no frame is copied) and run per
+ * tile. Stage boundaries are validated as in run_dag_with, and each
+ * tile is additionally cross-checked against the interpreter when
+ * opts.validate.
  */
 Image run_dag_jit(const PipelineDag &dag,
                   const std::vector<hvx::InstrPtr> &programs,

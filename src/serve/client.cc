@@ -76,58 +76,92 @@ RemoteSelect::read_response()
     }
 }
 
+namespace {
+
+/**
+ * Requests in flight (sent, not yet answered) per batch, by count and
+ * by wire bytes. Sending a whole large batch before reading any answer
+ * deadlocks: the server blocks writing answers the client is not yet
+ * reading, stops reading requests, and the client blocks sending. With
+ * this window the unanswered requests and their answers fit in the
+ * socket buffers. The count is far below the server's default
+ * admission queue (256), so a window is never shed by its own size,
+ * and above the handful of identical queries in-flight dedupe needs
+ * to see at once.
+ */
+constexpr size_t kMaxInFlight = 32;
+constexpr size_t kMaxInFlightBytes = 64 * 1024;
+
+} // namespace
+
 std::vector<Response>
 RemoteSelect::select_batch(std::vector<Request> requests)
 {
-    // Assign ids and ship the whole batch in one write.
-    std::string wire;
-    for (Request &request : requests) {
+    if (requests.empty())
+        return {};
+    std::vector<std::string> frames;
+    std::map<int64_t, size_t> slot; ///< unanswered id -> request index
+    for (size_t i = 0; i < requests.size(); ++i) {
+        Request &request = requests[i];
         request.op = Op::Select;
         request.id = next_id_++;
         if (request.timeout_ms <= 0)
             request.timeout_ms = options_.timeout_ms;
-        wire += frame_encode(encode_request(request));
+        frames.push_back(frame_encode(encode_request(request)));
+        slot[request.id] = i;
     }
-    if (requests.empty())
-        return {};
-    RAKE_USER_CHECK(sock_.send_all(wire),
-                    "cannot send batch: server connection lost");
 
-    // Collect by id; the server answers out of order.
-    std::map<int64_t, size_t> slot;
-    for (size_t i = 0; i < requests.size(); ++i)
-        slot[requests[i].id] = i;
+    // Keep a bounded window of requests on the wire; each answer read
+    // makes room for the next. The server answers out of order, so
+    // answers are matched by id.
     std::vector<Response> responses(requests.size());
-    for (size_t answered = 0; answered < requests.size(); ++answered) {
+    size_t sent = 0, answered = 0, inflight_bytes = 0;
+    std::string lost; // why the connection died, once it has
+    auto fill = [&] {
+        std::string wire;
+        while (sent < frames.size() && sent - answered < kMaxInFlight &&
+               (sent == answered ||
+                inflight_bytes + frames[sent].size() <=
+                    kMaxInFlightBytes)) {
+            inflight_bytes += frames[sent].size();
+            wire += frames[sent++];
+        }
+        return wire.empty() || sock_.send_all(wire);
+    };
+    RAKE_USER_CHECK(fill(), "cannot send batch: server connection lost");
+    while (answered < requests.size()) {
         Response resp;
         try {
             resp = read_response();
         } catch (const UserError &e) {
-            // The transport died mid-batch. Everything already
-            // received is a complete, valid answer — keep it, and
-            // surface the unanswered remainder as structured errors
-            // instead of throwing the whole batch away. "error" is
-            // deliberately not a degraded status: a dead connection
-            // must not trigger the local greedy fallback.
-            for (const auto &[id, i] : slot) {
-                Response lost;
-                lost.id = id;
-                lost.status = "error";
-                lost.error = std::string("server connection lost "
-                                         "mid-batch: ") +
-                             e.what();
-                responses[i] = std::move(lost);
-            }
-            return responses;
+            lost = e.what();
+            break;
         }
         const auto it = slot.find(resp.id);
         RAKE_USER_CHECK(it != slot.end(),
                         "response for unknown request id " << resp.id);
         const size_t i = it->second;
         slot.erase(it);
+        ++answered;
+        inflight_bytes -= frames[i].size();
         if (options_.degrade_locally)
             degrade_locally(requests[i], resp);
         responses[i] = std::move(resp);
+        if (!fill()) {
+            lost = "send failed";
+            break;
+        }
+    }
+    // The transport died mid-batch. Everything already received is a
+    // complete, valid answer — keep it, and surface the unanswered
+    // remainder as structured errors instead of throwing the whole
+    // batch away. "error" is deliberately not a degraded status: a
+    // dead connection must not trigger the local greedy fallback.
+    for (const auto &[id, i] : slot) {
+        Response &r = responses[i];
+        r.id = id;
+        r.status = "error";
+        r.error = "server connection lost mid-batch: " + lost;
     }
     return responses;
 }

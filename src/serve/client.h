@@ -2,10 +2,13 @@
  * @file
  * RemoteSelect: the thin client for the compile server.
  *
- * One RemoteSelect is one connection. select_batch() ships a whole
- * batch of queries in a single write, then collects responses by id
- * (the server answers out of order) and returns them in request
- * order. Degradation mirrors the in-process deadline contract:
+ * One RemoteSelect is one connection. select_batch() keeps a bounded
+ * window of a batch's queries on the wire, sending the next as each
+ * response arrives, collects responses by id (the server answers out
+ * of order) and returns them in request order. The window is what
+ * lets a batch of any size through: sending all of it before reading
+ * any answer deadlocks once requests and answers fill both socket
+ * buffers. Degradation mirrors the in-process deadline contract:
  * `timed_out` and `overloaded` responses arrive without a selection,
  * and when `degrade_locally` is set the client fills in the greedy
  * fallback itself — a shed or expired query yields the same kind of

@@ -76,6 +76,24 @@ TEST(Baseline, WideningCastUsesZxtPlusShuffle)
     EXPECT_EQ(count_op(code, Opcode::VShuffVdd), 1);
 }
 
+TEST(Baseline, EightfoldCastsWidenAndNarrowPerDoubling)
+{
+    // The regression this pins: casts across 8x the element width
+    // (u8 -> i64, i64 -> u8; the multi-stage fuzzer makes them at
+    // stage boundaries) hit "unexpected cast ratio in baseline".
+    constexpr ScalarType i8 = ScalarType::Int8;
+    constexpr ScalarType i64 = ScalarType::Int64;
+    constexpr ScalarType u64 = ScalarType::UInt64;
+    hvx::InstrPtr up = select_checked(cast(i64, load(0, u8, 16)));
+    EXPECT_EQ(count_op(up, Opcode::VZxt), 3);
+    EXPECT_EQ(count_op(up, Opcode::VShuffVdd), 3);
+    hvx::InstrPtr sup = select_checked(cast(u64, load(0, i8, 16)));
+    EXPECT_EQ(count_op(sup, Opcode::VSxt), 3);
+    hvx::InstrPtr down = select_checked(cast(u8, load(0, i64, 16)));
+    EXPECT_EQ(count_op(down, Opcode::VPackE), 3);
+    EXPECT_EQ(count_op(down, Opcode::VDealVdd), 3);
+}
+
 TEST(Baseline, ThreeTapConvUsesVmpaPlusVaddNotVtmpy)
 {
     HExpr e = cast(u16, in(-1)) + cast(u16, in(0)) * 2 +

@@ -12,12 +12,17 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baseline/halide_optimizer.h"
 #include "hir/analysis.h"
 #include "hir/builder.h"
+#include "hvx/interp.h"
+#include "jit/encoder.h"
+#include "jit/exec_buffer.h"
 #include "jit/jit.h"
 #include "pipeline/benchmarks.h"
 #include "pipeline/dag.h"
@@ -127,14 +132,14 @@ void
 expect_jit_matches_interp(const InstrPtr &prog,
                           const std::map<std::string, int64_t> &scalars
                           = {},
-                          uint64_t seed = 11)
+                          uint64_t seed = 11, int width = 16)
 {
     std::map<int, ScalarType> loads;
     std::set<const hvx::Instr *> seen;
     collect_hvx_loads(prog, loads, seen);
     std::map<int, Image> inputs;
     for (const auto &[id, elem] : loads)
-        inputs.emplace(id, random_image(elem, 16, 3, seed + id));
+        inputs.emplace(id, random_image(elem, width, 3, seed + id));
     const Image want = run_tiles(prog, inputs, scalars);
     const Image got = run_tiles_jit(prog, inputs, scalars);
     EXPECT_EQ(count_mismatches(want, got), 0);
@@ -224,12 +229,10 @@ TEST(Jit, BindRejectsMistypedBuffer)
     EXPECT_THROW(compiled->bind(env), UserError);
 }
 
-// One differential check per opcode family, over full-range random
-// images (negative values, saturation boundaries, wrap-around). The
-// emitted code must match the interpreter bit for bit.
-TEST(Jit, EveryOpcodeMatchesInterpreter)
+/** One program per opcode family, labelled. */
+std::vector<std::pair<std::string, InstrPtr>>
+opcode_cases()
 {
-    SKIP_IF_NO_JIT();
     using hvx::Instr;
     const InstrPtr a8 = vread(0, u8, 8);
     const InstrPtr b8 = vread(1, u8, 8, 1);
@@ -338,10 +341,54 @@ TEST(Jit, EveryOpcodeMatchesInterpreter)
                     {Instr::make(Opcode::VLo, {mpy}),
                      Instr::make(Opcode::VHi, {mpy})}));
 
-    for (const auto &[label, prog] : cases) {
+    return cases;
+}
+
+/** Every packed tier this CPU can run, "scalar" first. */
+std::vector<const char *>
+simd_tiers()
+{
+    std::vector<const char *> tiers = {"scalar", "sse2"};
+    ScopedEnv clear("RAKE_JIT_SIMD", nullptr);
+    if (jit::simd_level() == jit::SimdLevel::Avx2)
+        tiers.push_back("avx2");
+    return tiers;
+}
+
+// One differential check per opcode family, over full-range random
+// images (negative values, saturation boundaries, wrap-around). The
+// emitted code must match the interpreter bit for bit.
+TEST(Jit, EveryOpcodeMatchesInterpreter)
+{
+    SKIP_IF_NO_JIT();
+    for (const auto &[label, prog] : opcode_cases()) {
         SCOPED_TRACE(label);
         for (uint64_t seed : {11u, 77u})
             expect_jit_matches_interp(prog, {}, seed);
+    }
+}
+
+// The same cases on frames wide enough that most tiles lie wholly
+// inside the row (the loads' packed interior path) while the first
+// and last tiles clamp at either edge (the loads' edge loop), at every
+// SIMD tier, plus each element type read at every dx in [-3, 3].
+TEST(Jit, EveryOpcodeMatchesInterpreterOnWideFramesAtEveryTier)
+{
+    SKIP_IF_NO_JIT();
+    std::vector<std::pair<std::string, InstrPtr>> cases = opcode_cases();
+    for (ScalarType t : {u8, i8, u16, i16, i32, u32})
+        for (int dx = -3; dx <= 3; ++dx)
+            cases.emplace_back(to_string(t) + " dx " + std::to_string(dx),
+                               hvx::Instr::make(
+                                   Opcode::VAdd,
+                                   {vread(0, t, 8, dx), vread(1, t, 8, -dx, 1)}));
+    for (const char *tier : simd_tiers()) {
+        SCOPED_TRACE(tier);
+        ScopedEnv force("RAKE_JIT_SIMD", tier);
+        for (const auto &[label, prog] : cases) {
+            SCOPED_TRACE(label);
+            expect_jit_matches_interp(prog, {}, 23, /*width=*/64);
+        }
     }
 }
 
@@ -374,6 +421,27 @@ TEST(Jit, SplatsRebindPerEnvironment)
     EXPECT_EQ(lane0_env2, 0 + 40);
 }
 
+TEST(Jit, RejectsSplatThatLoadsFromABuffer)
+{
+    SKIP_IF_NO_JIT();
+    // bind() evaluates splats once per image, from the scalars alone,
+    // so a splat of a pixel would freeze one tile's value everywhere.
+    // No benchmark or fuzz program broadcasts anything but a variable
+    // or a constant; hand-written HIR can, and the interpreter runs it.
+    hir::LoadRef ref;
+    ref.buffer = 0;
+    InstrPtr splat = hvx::Instr::make_splat(
+        hir::Expr::make_load(ref, VecType(i16, 1)), 8);
+    InstrPtr prog =
+        hvx::Instr::make(Opcode::VAdd, {vread(0, i16, 8), splat});
+    EXPECT_THROW(jit::Program::compile(prog), UserError);
+
+    std::map<int, Image> inputs;
+    inputs.emplace(0, Image::synthetic(i16, 16, 2, 7));
+    EXPECT_THROW(run_tiles_jit(prog, inputs), UserError);
+    EXPECT_NO_THROW(run_tiles(prog, inputs));
+}
+
 TEST(Jit, AllSimdTiersAgree)
 {
     SKIP_IF_NO_JIT();
@@ -387,12 +455,7 @@ TEST(Jit, AllSimdTiersAgree)
         Instr::make(Opcode::VAnd, {vread(0, u16, 6), vread(1, u16, 6)}),
         Instr::make(Opcode::VOr, {vread(0, u16, 6), vread(1, u16, 6)}),
     };
-    std::vector<const char *> tiers = {"scalar", "sse2"};
-    {
-        ScopedEnv clear("RAKE_JIT_SIMD", nullptr);
-        if (jit::simd_level() == jit::SimdLevel::Avx2)
-            tiers.push_back("avx2");
-    }
+    const std::vector<const char *> tiers = simd_tiers();
     for (const InstrPtr &prog : progs) {
         std::map<int, ScalarType> loads;
         std::set<const hvx::Instr *> seen;
@@ -525,6 +588,131 @@ TEST(Jit, FusedDagSuiteMatchesReference)
             run_dag_jit(dag, programs, inputs, scalars, fast);
         EXPECT_EQ(count_mismatches(expected, timed), 0);
     }
+}
+
+/**
+ * Run `prog` through Program::bind(Env) at every tile origin of a
+ * `w` x `h` grid stepped by its lane count, offset by the buffers'
+ * own origins, and compare each tile with the HVX interpreter, at
+ * every SIMD tier.
+ */
+void
+expect_tiles_match_interp(const InstrPtr &prog, const Env &env, int x0,
+                          int y0, int w, int h)
+{
+    for (const char *tier : simd_tiers()) {
+        SCOPED_TRACE(tier);
+        ScopedEnv force("RAKE_JIT_SIMD", tier);
+        auto compiled = jit::Program::compile(prog);
+        compiled->bind(env);
+        hvx::Interpreter interp;
+        Env at = env;
+        for (int y = y0 - 1; y <= y0 + h; ++y) {
+            for (int x = x0 - prog->type().lanes; x <= x0 + w;
+                 x += prog->type().lanes) {
+                at.x = x;
+                at.y = y;
+                interp.reset(at);
+                ASSERT_EQ(compiled->run(x, y), interp.eval(prog))
+                    << "tile (" << x << ", " << y << ")";
+            }
+        }
+    }
+}
+
+TEST(Jit, BufferOriginsMatchInterpreter)
+{
+    // Buffers whose data[0] is not at (0, 0): the interior test and
+    // both clamps must work in buffer coordinates, x - x0 and y - y0.
+    SKIP_IF_NO_JIT();
+    using hvx::Instr;
+    constexpr int x0 = 37, y0 = -5, w = 64, h = 4;
+    Env env;
+    for (int id : {0, 1}) {
+        const ScalarType t = id == 0 ? u8 : u16;
+        Buffer buf(t, w, h, x0, y0);
+        const Image img = random_image(t, w, h, 41 + id);
+        buf.data = img.pixels;
+        env.buffers.emplace(id, std::move(buf));
+    }
+    const InstrPtr prog = Instr::make(
+        Opcode::VAdd,
+        {Instr::make(Opcode::VZxt, {vread(0, u8, 16, -3, 1)}),
+         Instr::make(Opcode::VCombine,
+                     {vread(1, u16, 8, 2), vread(1, u16, 8, -1, -1)})});
+    ASSERT_EQ(prog->type(), VecType(u16, 16));
+    expect_tiles_match_interp(prog, env, x0, y0, w, h);
+}
+
+TEST(Jit, OutOfRangeStoredValuesWrapLikeInterpreter)
+{
+    // Buffer lanes hold raw int64 carriers; a value outside the
+    // element's range must wrap on load exactly as the interpreter
+    // wraps it, on the packed interior path as on the edge loop.
+    SKIP_IF_NO_JIT();
+    Env env;
+    int id = 0;
+    std::vector<InstrPtr> reads;
+    for (ScalarType t : {u8, i8, u16, i16, u32, i32}) {
+        Buffer buf(t, 48, 2);
+        Rng rng(static_cast<uint64_t>(id) + 5);
+        for (int64_t &v : buf.data)
+            v = static_cast<int64_t>(rng.next()) >> rng.range(0, 40);
+        env.buffers.emplace(id, std::move(buf));
+        reads.push_back(vread(id, t, 8, id % 3 - 1));
+        ++id;
+    }
+    for (const InstrPtr &read : reads) {
+        SCOPED_TRACE(to_string(read->type()));
+        expect_tiles_match_interp(read, env, 0, 0, 48, 2);
+    }
+}
+
+TEST(JitEncoder, PatchesForwardAndBackwardBranches)
+{
+    SKIP_IF_NO_JIT();
+    // A forward jmp to an adjacent label and a backward jcc to itself
+    // encode to known bytes.
+    {
+        jit::Assembler a;
+        jit::Label next, self;
+        a.jmp(next);
+        a.bind(next);
+        a.bind(self);
+        a.jcc(jit::Cond::l, self);
+        const std::vector<uint8_t> want = {0xE9, 0x00, 0x00, 0x00, 0x00,
+                                           0x0F, 0x8C, 0xFA, 0xFF, 0xFF,
+                                           0xFF};
+        EXPECT_EQ(a.code(), want);
+    }
+    // sum(n) = 0 + 1 + ... + (n - 1): a forward jump into the loop
+    // test and a backward branch to the loop body, run natively.
+    jit::Assembler a;
+    jit::Label body, test;
+    a.xor_(jit::Reg::rax, jit::Reg::rax);
+    a.xor_(jit::Reg::rcx, jit::Reg::rcx);
+    a.jmp(test);
+    a.bind(body);
+    a.add(jit::Reg::rax, jit::Reg::rcx);
+    a.add_imm32(jit::Reg::rcx, 1);
+    a.bind(test);
+    a.cmp(jit::Reg::rcx, jit::Reg::rdi);
+    a.jcc(jit::Cond::l, body);
+    a.ret();
+    jit::ExecBuffer buf;
+    buf.seal(a.code());
+    auto sum = reinterpret_cast<int64_t (*)(int64_t)>(
+        const_cast<void *>(buf.entry()));
+    EXPECT_EQ(sum(0), 0);
+    EXPECT_EQ(sum(1), 0);
+    EXPECT_EQ(sum(10), 45);
+    EXPECT_EQ(sum(1000), 499500);
+
+    // A jump to a label that is never bound leaves code unfinished.
+    jit::Assembler dangling;
+    jit::Label nowhere;
+    dangling.jmp(nowhere);
+    EXPECT_THROW(dangling.code(), InternalError);
 }
 
 #if !defined(__x86_64__)

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <set>
 #include <string>
 #include <thread>
@@ -694,6 +696,53 @@ TEST(Serve, ServerDeathMidBatchKeepsPartialResults)
         EXPECT_FALSE(responses[i].degraded_like_timeout());
         EXPECT_GT(responses[i].id, 0);
     }
+}
+
+TEST(Serve, BatchLargerThanSocketBuffersIsFullyAnswered)
+{
+    // The regression this pins: select_batch used to send a whole
+    // batch before reading any answer. Once the requests and the
+    // answers filled both socket buffers, the server blocked writing
+    // answers, stopped reading requests, and the client blocked
+    // sending (`rake_client --suite --repeat 50` hung). 3000 copies of
+    // one query are several hundred KiB each way. The batch runs on a
+    // worker thread so a hang fails the test after 60 s; stopping the
+    // server then breaks the connection and frees the thread.
+    TestServer ts("bigbatch");
+    serve::RemoteSelect client = ts.client();
+    const std::string expr = to_sexpr(average_expr());
+    constexpr size_t kBatch = 3000;
+    std::vector<serve::Request> batch(kBatch);
+    for (serve::Request &r : batch)
+        r.expr = expr;
+
+    std::promise<std::vector<serve::Response>> promise;
+    std::future<std::vector<serve::Response>> result =
+        promise.get_future();
+    std::thread worker([&] {
+        try {
+            promise.set_value(client.select_batch(std::move(batch)));
+        } catch (...) {
+            promise.set_exception(std::current_exception());
+        }
+    });
+    const bool finished = result.wait_for(std::chrono::seconds(60)) ==
+                          std::future_status::ready;
+    if (!finished)
+        ts.server->stop();
+    worker.join();
+    ASSERT_TRUE(finished) << "select_batch hung on a " << kBatch
+                          << "-request batch";
+
+    const std::vector<serve::Response> responses = result.get();
+    ASSERT_EQ(responses.size(), kBatch);
+    for (const serve::Response &r : responses) {
+        ASSERT_EQ(r.status, "ok") << r.error;
+        EXPECT_EQ(r.instr, responses[0].instr);
+    }
+    const synth::ServiceMetrics m = ts.server->service().metrics();
+    EXPECT_EQ(m.requests, static_cast<int64_t>(kBatch));
+    EXPECT_EQ(m.overloaded, 0);
 }
 
 TEST(Serve, ProtocolErrorAnswersThenDropsSession)
