@@ -16,8 +16,9 @@
  * whole synthetic image and reports wall-clock microseconds next to
  * the modeled cycles ("jit" = the native x86-64 tier, "interp" = the
  * HVX interpreter); `--json` carries the times as jit_us / interp_us
- * per benchmark. Without the flag no code is executed and the output
- * is byte-identical to older drivers.
+ * per benchmark, and a jit run adds jit_code_bytes (Rake plus
+ * baseline programs, at the tier in jit_simd). Without the flag no
+ * code is executed and the output is byte-identical to older drivers.
  */
 #include <iostream>
 
@@ -164,6 +165,9 @@ main(int argc, char **argv)
             // an interp run and a jit run merge cleanly downstream.
             if (!args.execute.empty())
                 bj.put(args.execute + "_us", exec_us[i]);
+            // Exact (tests/expected/jit_code_bytes.json gates it).
+            if (args.execute == "jit")
+                bj.put("jit_code_bytes", jit_code_bytes(r));
             if (r.stages > 0) {
                 bj.put("stages", r.stages);
                 bj.put("dag_cycles", r.dag_cycles);

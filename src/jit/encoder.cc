@@ -397,22 +397,30 @@ Assembler::sse_op_mem(VecOp op, Vreg dst, Reg base, int32_t disp)
 }
 
 void
-Assembler::vex3(uint8_t reg, uint8_t base_rm, uint8_t vvvv, bool l256,
-                uint8_t pp)
+Assembler::vex(uint8_t reg, uint8_t base_rm, uint8_t vvvv, bool l256,
+                uint8_t pp, uint8_t map, bool w)
 {
+    if (map == 1 && !w && !(base_rm & 8)) {
+        // The two-byte form: inverted R, inverted vvvv, L, pp.
+        byte(0xC5);
+        byte(static_cast<uint8_t>(((reg & 8) ? 0 : 0x80) |
+                                  ((~vvvv & 0xF) << 3) | (l256 ? 4 : 0) |
+                                  pp));
+        return;
+    }
     byte(0xC4);
-    // Inverted R/X/B; mmmmm = 00001 (0F map). X is never used here.
+    // Inverted R/X/B, then mmmmm. X is never used here.
     byte(((reg & 8) ? 0 : 0x80) | 0x40 | ((base_rm & 8) ? 0 : 0x20) |
-         0x01);
-    // W=0, inverted vvvv, L, pp.
-    byte(static_cast<uint8_t>(((~vvvv & 0xF) << 3) | (l256 ? 4 : 0) |
-                              pp));
+         map);
+    // W, inverted vvvv, L, pp.
+    byte(static_cast<uint8_t>((w ? 0x80 : 0) | ((~vvvv & 0xF) << 3) |
+                              (l256 ? 4 : 0) | pp));
 }
 
 void
 Assembler::vmovdqu_load(Vreg dst, Reg base, int32_t disp)
 {
-    vex3(num(dst), num(base), 0, /*l256=*/true, /*pp=F3*/ 2);
+    vex(num(dst), num(base), 0, /*l256=*/true, /*pp=F3*/ 2);
     byte(0x6F);
     modrm_mem(num(dst), base, disp);
 }
@@ -420,7 +428,7 @@ Assembler::vmovdqu_load(Vreg dst, Reg base, int32_t disp)
 void
 Assembler::vmovdqu_store(Reg base, int32_t disp, Vreg src)
 {
-    vex3(num(src), num(base), 0, /*l256=*/true, /*pp=F3*/ 2);
+    vex(num(src), num(base), 0, /*l256=*/true, /*pp=F3*/ 2);
     byte(0x7F);
     modrm_mem(num(src), base, disp);
 }
@@ -428,7 +436,7 @@ Assembler::vmovdqu_store(Reg base, int32_t disp, Vreg src)
 void
 Assembler::avx_op(VecOp op, Vreg dst, Vreg src1, Vreg src2)
 {
-    vex3(num(dst), num(src2), num(src1), /*l256=*/true, /*pp=66*/ 1);
+    vex(num(dst), num(src2), num(src1), /*l256=*/true, /*pp=66*/ 1);
     byte(static_cast<uint8_t>(op));
     modrm_reg(num(dst), num(src2));
 }
@@ -437,9 +445,20 @@ void
 Assembler::avx_op_mem(VecOp op, Vreg dst, Vreg src1, Reg base,
                       int32_t disp)
 {
-    vex3(num(dst), num(base), num(src1), /*l256=*/true, /*pp=66*/ 1);
+    vex(num(dst), num(base), num(src1), /*l256=*/true, /*pp=66*/ 1);
     byte(static_cast<uint8_t>(op));
     modrm_mem(num(dst), base, disp);
+}
+
+void
+Assembler::vpermq(Vreg dst, Vreg src, uint8_t imm)
+{
+    // VEX.256.66.0F3A.W1 00 /r ib; vvvv is unused (1111).
+    vex(num(dst), num(src), 0, /*l256=*/true, /*pp=66*/ 1, /*map=*/3,
+         /*w=*/true);
+    byte(0x00);
+    modrm_reg(num(dst), num(src));
+    byte(imm);
 }
 
 void

@@ -6,10 +6,13 @@
  * The shape follows the classic IR → machine-IR → encoder JIT
  * pipeline: lower.cc is the machine-IR layer (it decides which
  * instructions to emit), and this class is the encoder proper — one
- * method per instruction form, each writing REX/ModRM/SIB/immediate
- * bytes. Memory operands are always [base + disp32] or
+ * method per instruction form, each writing REX/VEX/ModRM/SIB/
+ * immediate bytes. Memory operands are always [base + disp32] or
  * [base + index*8 + disp32]: uniform encodings keep the emitter
- * simple.
+ * simple. VEX forms take the two-byte prefix whenever the operands
+ * allow it (0F map, W0, no extended base), which most of the packed
+ * code does. The vector registers are xmm0..xmm7 (ymm at AVX2):
+ * legacy SSE ops on them need no REX prefix.
  *
  * Control flow is rel32 jumps to Labels. A jump to a label not yet
  * bound records a fixup that bind() patches, so forward and backward
@@ -46,12 +49,17 @@ enum class Reg : uint8_t {
     r15 = 15,
 };
 
-/** SSE/AVX registers (xmm0..xmm15 / ymm0..ymm15). */
+/** The SSE/AVX registers the lowerer uses (xmm0..xmm7, or their
+ *  ymm halves at AVX2): none needs a REX/VEX extension bit. */
 enum class Vreg : uint8_t {
     xmm0 = 0,
     xmm1 = 1,
     xmm2 = 2,
     xmm3 = 3,
+    xmm4 = 4,
+    xmm5 = 5,
+    xmm6 = 6,
+    xmm7 = 7,
 };
 
 /** Condition codes (the low nibble of the 0F 4x / 0F 8x / 0F 9x
@@ -65,13 +73,16 @@ enum class Cond : uint8_t {
     g = 0xF,  ///< signed greater
 };
 
-/** Packed 64-bit SSE/AVX ALU ops (opcode byte after 66 0F). */
+/** Packed 64-bit SSE/AVX ops (opcode byte after 66 0F). */
 enum class VecOp : uint8_t {
     paddq = 0xD4,
     psubq = 0xFB,
     pand = 0xDB,
     por = 0xEB,
     pxor = 0xEF,
+    pmuludq = 0xF4,    ///< low 32 bits of each qword, unsigned, to 64
+    punpcklqdq = 0x6C, ///< {dst.q0, src.q0} per 128-bit lane
+    punpckhqdq = 0x6D, ///< {dst.q1, src.q1} per 128-bit lane
 };
 
 /**
@@ -154,6 +165,9 @@ class Assembler
     void avx_op(VecOp op, Vreg dst, Vreg src1, Vreg src2);
     void avx_op_mem(VecOp op, Vreg dst, Vreg src1, Reg base,
                     int32_t disp);
+    /** vpermq dst, src, imm: qword i of dst = qword (imm >> 2i) & 3
+     *  of src. */
+    void vpermq(Vreg dst, Vreg src, uint8_t imm);
     void vzeroupper();
 
   private:
@@ -169,8 +183,11 @@ class Assembler
     void modrm_mem(uint8_t reg, Reg base, int32_t disp);
     /** ModRM [base + index*8 + disp32] form. */
     void modrm_sib8(uint8_t reg, Reg base, Reg index, int32_t disp);
-    void vex3(uint8_t reg, uint8_t base_rm, uint8_t vvvv, bool l256,
-              uint8_t pp);
+    /** VEX prefix: two bytes when the 0F map, W0 and a base/rm
+     *  below r8 allow it, else three; `map` is mmmmm (1 = 0F,
+     *  3 = 0F3A). */
+    void vex(uint8_t reg, uint8_t base_rm, uint8_t vvvv, bool l256,
+              uint8_t pp, uint8_t map = 1, bool w = false);
 
     std::vector<uint8_t> code_;
     size_t pending_fixups_ = 0; ///< rel32 fields not yet patched

@@ -8,9 +8,10 @@
  * immediates are compile-time constants, so every HVX index map
  * (deinterleave, interleave, concat, align, rotate) becomes a
  * constant displacement and node bodies are unrolled, relocation-free
- * x86-64. Element-wise ops take an SSE2 or AVX2 packed fast path
- * where one exists; everything else is exact scalar code reproducing
- * base/arith.h bit for bit.
+ * x86-64. Element-wise ops, the lane-permuting copies, the widens and
+ * the multiply family take an SSE2 or AVX2 packed path; everything
+ * else (and every chunk with no packed fetch) is exact scalar code
+ * reproducing base/arith.h bit for bit.
  *
  * Loads (vmem) are the one place with branches. Each load tests once
  * per tile whether its lanes lie wholly inside the buffer's row; an

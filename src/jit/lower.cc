@@ -11,21 +11,40 @@
  * displacement — no tables, no relocations — and node bodies are
  * unrolled over their lanes.
  *
- * Loads are the exception. A vmem tests at run time, once per tile,
- * whether its lanes lie inside the buffer row: an interior tile
- * copies the row in SSE2/AVX2 chunks and wraps them packed; an edge
- * tile runs Buffer::at's clamp lane by lane in a small loop, so the
- * rare path costs a few dozen bytes rather than an unrolled copy per
- * lane. At SimdLevel::Scalar the interior copy is scalar too.
- *
  * Scalar lowering mirrors base/arith.h operation by operation (the
  * bit-identity contract the differential tests and the fuzz oracle
- * pin down). Element-wise wrap ops additionally take an SSE2/AVX2
- * packed path over 2/4 int64 lanes per instruction, with a scalar
- * tail; width masking uses the ((v & mask) ^ sign) - sign identity.
+ * pin down). At SimdLevel::Sse2/Avx2 a node whose body has a packed
+ * form emits it per chunk of 2/4 int64 lanes (emit_lanes), and the
+ * scalar body stays for the tail and for chunks with no packed
+ * fetch. Operands are read through their lane map, and classify()
+ * recognises three maps from the displacements of a chunk's lanes:
+ * contiguous (one load: lo/hi/combine/align/ror, same-width bitcast,
+ * element-wise ops), deinterleaved (two loads + punpcklqdq, + vpermq
+ * at AVX2: zxt/sxt, deal, the widening multiplies) and interleaved
+ * (the same in reverse order: shuff, pack-e). A chunk that straddles
+ * a concat seam or a rotate's wrap point matches none and runs
+ * scalar. Packed bodies exist for those copies and for the multiply
+ * family, which uses pmuludq + paddq: the low b bits of a product or
+ * sum depend only on the low b bits of its operands, so for a result
+ * of b <= 32 bits the wrap makes pmuludq's 32x32 product equal
+ * imul's; 64-bit results keep the scalar body. Width masking uses the
+ * ((v & mask) ^ sign) - sign identity, with a node's constants held
+ * in registers.
+ *
+ * Loads are the exception to straight-line code. A vmem tests at run
+ * time, once per tile, whether its lanes lie inside the buffer row:
+ * an interior tile copies the row in packed chunks and wraps them;
+ * an edge tile runs Buffer::at's clamp lane by lane in a small loop,
+ * so the rare path costs a few dozen bytes rather than an unrolled
+ * copy per lane. At SimdLevel::Scalar the interior copy is scalar too.
  */
+#include <algorithm>
+#include <array>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -55,6 +74,11 @@ constexpr Reg kArena = Reg::rbx;
 constexpr Reg kBufs = Reg::r12;
 constexpr Reg kX = Reg::r14;
 constexpr Reg kY = Reg::r15;
+// Vector registers: node bodies use xmm0..xmm2, fetch() clobbers
+// kVtmp, and kConstRegs hold a node's broadcast constants.
+constexpr Vreg kVtmp = Vreg::xmm7;
+constexpr Vreg kConstRegs[] = {Vreg::xmm3, Vreg::xmm4, Vreg::xmm5,
+                               Vreg::xmm6};
 
 /** Output lane -> input lane of a deinterleaved register pair. */
 int
@@ -84,15 +108,23 @@ class Lowerer
     void emit_vbitcast(const Instr &n);
 
     // --- slot addressing ---
+    int64_t
+    slot_of(const Instr *node) const
+    {
+        for (const auto &[p, slot] : near_)
+            if (p == node)
+                return slot;
+        auto it = slot_.find(node);
+        RAKE_CHECK(it != slot_.end(), "operand emitted after use");
+        return it->second;
+    }
     int32_t
     disp(const Instr *node, int lane)
     {
-        auto it = slot_.find(node);
-        RAKE_CHECK(it != slot_.end(), "operand emitted after use");
         RAKE_CHECK(lane >= 0 && lane < node->type().lanes,
                    "jit: lane " << lane << " out of range for "
                                 << to_string(node->type()));
-        return slot_disp(it->second + lane);
+        return slot_disp(slot_of(node) + lane);
     }
     int32_t
     slot_disp(int64_t slot) const
@@ -132,6 +164,9 @@ class Lowerer
         a_.store(kArena, disp(&n, lane), r);
     }
 
+    /** First pool slot: even, so packed constants are 16-byte
+     *  aligned (the arena itself is). */
+    int64_t pool_base() const { return (num_slots_ + 1) & ~int64_t{1}; }
     /** Arena slot of a broadcast constant (deduplicated). */
     int64_t
     const_slot(int64_t value, int lanes)
@@ -140,8 +175,7 @@ class Lowerer
         auto it = const_map_.find(key);
         if (it != const_map_.end())
             return it->second;
-        const int64_t slot =
-            num_slots_ + static_cast<int64_t>(pool_.size());
+        const int64_t slot = pool_base() + static_cast<int64_t>(pool_.size());
         for (int i = 0; i < lanes; ++i)
             pool_.push_back(value);
         const_map_.emplace(key, slot);
@@ -229,52 +263,90 @@ class Lowerer
     }
 
     // --- packed fast path ---
+    /** An operand lane map: output lane i reads the arena slot at
+     *  displacement map(i). */
+    using LaneMap = std::function<int32_t(int)>;
+    /** How one chunk of an operand's lanes can be loaded packed. */
+    struct ChunkSrc {
+        enum Kind {
+            None,          ///< no packed form: scalar lanes
+            Contiguous,    ///< lanes p, p+1, ...
+            Deinterleaved, ///< lanes p, p+2, p+4, ...
+            Interleaved,   ///< lanes p, q, p+1, q+1, ...
+        } kind = None;
+        int32_t p = 0, q = 0; ///< displacements
+    };
     int simd_chunk() const { return simd_ == SimdLevel::Avx2 ? 4 : 2; }
-    /** xmm0 (ymm0 at AVX2) = one chunk at [base + d]. */
-    void
-    vec_load(Reg base, int32_t d)
+    /** How lanes [k, k + chunk) of `src` can be loaded packed. */
+    ChunkSrc classify(const LaneMap &src, int k);
+    /** Lanes [k, k + chunk) of operand ai itself: contiguous. */
+    ChunkSrc
+    contiguous(const Instr &n, int ai, int k)
     {
-        if (simd_ == SimdLevel::Avx2) {
-            used_avx_ = true;
-            a_.vmovdqu_load(Vreg::xmm0, base, d);
-        } else {
-            a_.movdqu_load(Vreg::xmm0, base, d);
-        }
+        return {ChunkSrc::Contiguous, adisp(n, ai, k), 0};
     }
-    /** xmm0 (ymm0) op= one chunk at [kArena + d]. */
-    void
-    vec_op_mem(VecOp op, int32_t d)
-    {
-        if (simd_ == SimdLevel::Avx2)
-            a_.avx_op_mem(op, Vreg::xmm0, Vreg::xmm0, kArena, d);
-        else
-            a_.sse_op_mem(op, Vreg::xmm0, kArena, d);
-    }
-    /** Lanes [lane, lane + chunk) of node n = xmm0 (ymm0). */
-    void
-    vec_store(const Instr &n, int lane)
-    {
-        if (simd_ == SimdLevel::Avx2)
-            a_.vmovdqu_store(kArena, disp(&n, lane), Vreg::xmm0);
-        else
-            a_.movdqu_store(kArena, disp(&n, lane), Vreg::xmm0);
-    }
+    /** v = one chunk of `c`, read from [base + disp]; may clobber
+     *  kVtmp. */
+    void fetch(Vreg v, const ChunkSrc &c, Reg base = kArena);
+    void vload(Vreg v, Reg base, int32_t d);
+    /** Lanes [lane, lane + chunk) of node n = v. */
+    void vstore(const Instr &n, int lane, Vreg v);
+    /** dst op= src. */
+    void vop(VecOp op, Vreg dst, Vreg src);
+    /** dst op= a broadcast constant, held in a kConstRegs register
+     *  from its first use in the node on. */
+    void vop_const(VecOp op, Vreg dst, int64_t value);
+    /** Wrap v's lanes to s: ((v & mask) ^ sign) - sign. */
+    void emit_simd_wrap(ScalarType s, Vreg v);
+
     /**
-     * Packed `vop` over identity-indexed lanes of args 0 and 1, with
-     * the wrap-to-elem fixup. Covers lanes [0, r); the caller emits
-     * the scalar tail from r. Returns 0 (nothing emitted) at
-     * SimdLevel::Scalar.
+     * Emit node n: each whole chunk through `chunk(k)` when it
+     * returns true (it emits nothing when it returns false), every
+     * other lane through `lane(i)`. At SimdLevel::Scalar every lane
+     * is scalar.
      */
-    int emit_simd_bin(const Instr &n, VecOp vop);
-    /** Same for VNot (pxor with all-ones, then wrap). */
-    int emit_simd_not(const Instr &n);
-    void emit_simd_wrap(ScalarType s, int chunk);
+    template <class Chunk, class Lane>
+    void
+    emit_lanes(const Instr &n, Chunk chunk, Lane lane)
+    {
+        const int L = n.type().lanes;
+        int i = 0;
+        if (simd_ != SimdLevel::Scalar) {
+            const int c = simd_chunk();
+            for (; i + c <= L; i += c)
+                if (!chunk(i))
+                    for (int j = i; j < i + c; ++j)
+                        lane(j);
+        }
+        for (; i < L; ++i)
+            lane(i);
+    }
+    /** Lane i = src(i), wrapped to the result type when `wrap`. */
+    void emit_map(const Instr &n, const LaneMap &src, bool wrap);
+    /** Lane i = wrap(arg0[i] op arg1[i]). */
+    void emit_bin(const Instr &n, void (Assembler::*op)(Reg, Reg),
+                  VecOp vop);
+    /** One product of a multiply-accumulate: x(i) * y(i), or
+     *  x(i) * imm without y (x(i) alone when imm is 1). */
+    struct Tap {
+        LaneMap x, y;
+        int64_t imm = 1;
+    };
+    /** Lane i = wrap(acc(i) + sum of taps), acc optional. */
+    void emit_mac(const Instr &n, const LaneMap &acc,
+                  const std::vector<Tap> &taps);
 
     Assembler a_;
     SimdLevel simd_;
     bool used_avx_ = false;
 
     std::unordered_map<const Instr *, int64_t> slot_;
+    /** The node being emitted and its operands, with their slots:
+     *  lane addressing looks here before it hashes. */
+    std::array<std::pair<const Instr *, int64_t>, 4> near_{};
+    /** The constant in each of kConstRegs, for the node being
+     *  emitted (straight-line code, except vread's own two paths). */
+    std::array<std::optional<int64_t>, std::size(kConstRegs)> const_regs_;
     std::vector<const Instr *> order_;
     int64_t num_slots_ = 0;
     std::vector<int64_t> pool_;
@@ -329,56 +401,260 @@ Lowerer::collect(const hvx::InstrPtr &n)
     }
 }
 
+Lowerer::ChunkSrc
+Lowerer::classify(const LaneMap &src, int k)
+{
+    const int c = simd_chunk();
+    int32_t d[4];
+    for (int m = 0; m < c; ++m)
+        d[m] = src(k + m);
+    ChunkSrc r;
+    r.p = d[0];
+    r.q = d[1];
+    bool contiguous = true, deinterleaved = true, interleaved = true;
+    for (int m = 0; m < c; ++m) {
+        contiguous = contiguous && d[m] == r.p + 8 * m;
+        deinterleaved = deinterleaved && d[m] == r.p + 16 * m;
+        interleaved = interleaved &&
+                      d[m] == (m % 2 == 0 ? r.p : r.q) + 8 * (m / 2);
+    }
+    // At two lanes a chunk is always "interleaved": any pair of
+    // lanes is one punpcklqdq of two loads.
+    r.kind = contiguous      ? ChunkSrc::Contiguous
+             : deinterleaved ? ChunkSrc::Deinterleaved
+             : interleaved   ? ChunkSrc::Interleaved
+                             : ChunkSrc::None;
+    // A deinterleaved fetch reads one slot past its last lane and an
+    // interleaved one c / 2 past each half's. Operand slots come
+    // before their consumer's (c or more) slots, so the over-read
+    // stays inside the arena.
+    int64_t end = r.p + 8 * c;
+    if (r.kind == ChunkSrc::Deinterleaved)
+        end = r.p + 16 * c;
+    else if (r.kind == ChunkSrc::Interleaved)
+        end = std::max(r.p, r.q) + 8 * c;
+    RAKE_CHECK(r.kind == ChunkSrc::None || end <= slot_disp(num_slots_),
+               "packed fetch past the arena");
+    return r;
+}
+
 void
-Lowerer::emit_simd_wrap(ScalarType s, int chunk)
+Lowerer::vload(Vreg v, Reg base, int32_t d)
+{
+    if (simd_ == SimdLevel::Avx2) {
+        used_avx_ = true;
+        a_.vmovdqu_load(v, base, d);
+    } else {
+        a_.movdqu_load(v, base, d);
+    }
+}
+
+void
+Lowerer::vstore(const Instr &n, int lane, Vreg v)
+{
+    if (simd_ == SimdLevel::Avx2)
+        a_.vmovdqu_store(kArena, disp(&n, lane), v);
+    else
+        a_.movdqu_store(kArena, disp(&n, lane), v);
+}
+
+void
+Lowerer::vop(VecOp op, Vreg dst, Vreg src)
+{
+    if (simd_ == SimdLevel::Avx2)
+        a_.avx_op(op, dst, dst, src);
+    else
+        a_.sse_op(op, dst, src);
+}
+
+void
+Lowerer::vop_const(VecOp op, Vreg dst, int64_t value)
+{
+    auto pool_disp = [&] {
+        return slot_disp(const_slot(value, simd_chunk()));
+    };
+    for (size_t r = 0; r < const_regs_.size(); ++r) {
+        if (!const_regs_[r]) { // first use in this node: load it once
+            vload(kConstRegs[r], kArena, pool_disp());
+            const_regs_[r] = value;
+        }
+        if (*const_regs_[r] == value) {
+            vop(op, dst, kConstRegs[r]);
+            return;
+        }
+    }
+    // All held: a memory operand (pool chunks start at even slots, so
+    // a legacy-SSE one is 16-byte aligned).
+    const int32_t d = pool_disp();
+    if (simd_ == SimdLevel::Avx2)
+        a_.avx_op_mem(op, dst, dst, kArena, d);
+    else
+        a_.sse_op_mem(op, dst, kArena, d);
+}
+
+void
+Lowerer::fetch(Vreg v, const ChunkSrc &c, Reg base)
+{
+    const bool avx = simd_ == SimdLevel::Avx2;
+    switch (c.kind) {
+      case ChunkSrc::None:
+        RAKE_UNREACHABLE("fetch of an unpackable chunk");
+      case ChunkSrc::Contiguous:
+        vload(v, base, c.p);
+        return;
+      case ChunkSrc::Deinterleaved:
+        // Even lanes of [p, p + 2c): the low qword of each 128-bit
+        // half; at AVX2 vpermq 0xD8 puts the halves back in order.
+        vload(v, base, c.p);
+        vload(kVtmp, base, c.p + 8 * simd_chunk());
+        vop(VecOp::punpcklqdq, v, kVtmp);
+        if (avx)
+            a_.vpermq(v, v, 0xD8);
+        return;
+      case ChunkSrc::Interleaved:
+        // The same in reverse: at AVX2 vpermq 0xD8 first puts lanes
+        // 0 and 1 of each source in the low qwords of its halves.
+        vload(v, base, c.p);
+        vload(kVtmp, base, c.q);
+        if (avx) {
+            a_.vpermq(v, v, 0xD8);
+            a_.vpermq(kVtmp, kVtmp, 0xD8);
+        }
+        vop(VecOp::punpcklqdq, v, kVtmp);
+        return;
+    }
+}
+
+void
+Lowerer::emit_simd_wrap(ScalarType s, Vreg v)
 {
     const int b = bits(s);
     if (b == 64)
         return;
-    const int64_t mask =
-        static_cast<int64_t>((uint64_t{1} << b) - 1);
-    vec_op_mem(VecOp::pand, slot_disp(const_slot(mask, chunk)));
+    vop_const(VecOp::pand,
+              v, static_cast<int64_t>((uint64_t{1} << b) - 1));
     if (is_signed(s)) {
         const int64_t sign = static_cast<int64_t>(uint64_t{1} << (b - 1));
-        const int32_t sign_d = slot_disp(const_slot(sign, chunk));
-        vec_op_mem(VecOp::pxor, sign_d);
-        vec_op_mem(VecOp::psubq, sign_d);
+        vop_const(VecOp::pxor, v, sign);
+        vop_const(VecOp::psubq, v, sign);
     }
 }
 
-int
-Lowerer::emit_simd_bin(const Instr &n, VecOp vop)
+void
+Lowerer::emit_map(const Instr &n, const LaneMap &src, bool wrap)
 {
-    if (simd_ == SimdLevel::Scalar)
-        return 0;
-    const int L = n.type().lanes;
-    const int chunk = simd_chunk();
-    int i = 0;
-    for (; i + chunk <= L; i += chunk) {
-        vec_load(kArena, adisp(n, 0, i));
-        vec_op_mem(vop, adisp(n, 1, i));
-        emit_simd_wrap(n.type().elem, chunk);
-        vec_store(n, i);
-    }
-    return i;
+    const ScalarType s = n.type().elem;
+    emit_lanes(
+        n,
+        [&](int k) {
+            const ChunkSrc c = classify(src, k);
+            if (c.kind == ChunkSrc::None)
+                return false;
+            fetch(Vreg::xmm0, c);
+            if (wrap)
+                emit_simd_wrap(s, Vreg::xmm0);
+            vstore(n, k, Vreg::xmm0);
+            return true;
+        },
+        [&](int i) {
+            a_.load(Reg::rax, kArena, src(i));
+            if (wrap)
+                wrap_reg(Reg::rax, s);
+            st(n, i, Reg::rax);
+        });
 }
 
-int
-Lowerer::emit_simd_not(const Instr &n)
+void
+Lowerer::emit_bin(const Instr &n, void (Assembler::*op)(Reg, Reg),
+                  VecOp vop_code)
 {
-    if (simd_ == SimdLevel::Scalar)
-        return 0;
-    const int L = n.type().lanes;
-    const int chunk = simd_chunk();
-    const int32_t ones_d = slot_disp(const_slot(-1, chunk));
-    int i = 0;
-    for (; i + chunk <= L; i += chunk) {
-        vec_load(kArena, adisp(n, 0, i));
-        vec_op_mem(VecOp::pxor, ones_d);
-        emit_simd_wrap(n.type().elem, chunk);
-        vec_store(n, i);
-    }
-    return i;
+    const ScalarType s = n.type().elem;
+    emit_lanes(
+        n,
+        [&](int k) {
+            fetch(Vreg::xmm0, contiguous(n, 0, k));
+            fetch(Vreg::xmm1, contiguous(n, 1, k));
+            vop(vop_code, Vreg::xmm0, Vreg::xmm1);
+            emit_simd_wrap(s, Vreg::xmm0);
+            vstore(n, k, Vreg::xmm0);
+            return true;
+        },
+        [&](int i) {
+            ld(Reg::rax, n, 0, i);
+            ld(Reg::rsi, n, 1, i);
+            (a_.*op)(Reg::rax, Reg::rsi);
+            wrap_reg(Reg::rax, s);
+            st(n, i, Reg::rax);
+        });
+}
+
+void
+Lowerer::emit_mac(const Instr &n, const LaneMap &acc,
+                  const std::vector<Tap> &taps)
+{
+    RAKE_CHECK(taps.size() <= 4, "jit: more than four products");
+    const ScalarType s = n.type().elem;
+    // pmuludq multiplies the low 32 bits of each factor. The low b
+    // bits of a product or sum depend only on the low b bits of its
+    // operands, so for b <= 32 the wrap makes it equal to imul's.
+    const bool narrow = bits(s) <= 32;
+    emit_lanes(
+        n,
+        [&](int k) {
+            if (!narrow)
+                return false;
+            // The chunk is packed whole or not at all.
+            ChunkSrc acc_src, x_src[4], y_src[4];
+            auto fails = [&](ChunkSrc &c, const LaneMap &f) {
+                c = classify(f, k);
+                return c.kind == ChunkSrc::None;
+            };
+            if (acc && fails(acc_src, acc))
+                return false;
+            for (size_t t = 0; t < taps.size(); ++t)
+                if (fails(x_src[t], taps[t].x) ||
+                    (taps[t].y && fails(y_src[t], taps[t].y)))
+                    return false;
+            bool first = !acc;
+            if (acc)
+                fetch(Vreg::xmm0, acc_src);
+            for (size_t t = 0; t < taps.size(); ++t) {
+                const Vreg r = first ? Vreg::xmm0 : Vreg::xmm1;
+                fetch(r, x_src[t]);
+                if (taps[t].y) {
+                    fetch(Vreg::xmm2, y_src[t]);
+                    vop(VecOp::pmuludq, r, Vreg::xmm2);
+                } else if (taps[t].imm != 1) {
+                    vop_const(VecOp::pmuludq, r, taps[t].imm);
+                }
+                if (!first)
+                    vop(VecOp::paddq, Vreg::xmm0, Vreg::xmm1);
+                first = false;
+            }
+            emit_simd_wrap(s, Vreg::xmm0);
+            vstore(n, k, Vreg::xmm0);
+            return true;
+        },
+        [&](int i) {
+            bool first = !acc;
+            if (acc)
+                a_.load(Reg::rax, kArena, acc(i));
+            for (const Tap &t : taps) {
+                const Reg r = first ? Reg::rax : Reg::rdx;
+                a_.load(r, kArena, t.x(i));
+                if (t.y) {
+                    a_.load(Reg::rsi, kArena, t.y(i));
+                    a_.imul(r, Reg::rsi);
+                } else if (t.imm != 1) {
+                    mul_imm(r, t.imm, Reg::rsi);
+                }
+                if (!first)
+                    a_.add(Reg::rax, Reg::rdx);
+                first = false;
+            }
+            wrap_reg(Reg::rax, s);
+            st(n, i, Reg::rax);
+        });
 }
 
 void
@@ -404,10 +680,10 @@ Lowerer::emit_vread(const Instr &n)
     a_.lea(Reg::rcx, Reg::rdx, -1);
     a_.cmp(Reg::rax, Reg::rcx);
     a_.cmov(Cond::g, Reg::rax, Reg::rcx);
-    // r9 = data + iy * width * 8
+    // rdi = data + iy * width * 8
     a_.imul(Reg::rax, Reg::rsi);
-    a_.load(Reg::r9, kBufs, dbase + 0);
-    a_.lea_index8(Reg::r9, Reg::r9, Reg::rax);
+    a_.load(Reg::rdi, kBufs, dbase + 0);
+    a_.lea_index8(Reg::rdi, Reg::rdi, Reg::rax);
     // r10 = x + dx - x0; r8 = width - 1; rcx stays 0 for the clamps.
     a_.mov(Reg::r10, kX);
     if (r.dx != 0)
@@ -422,7 +698,7 @@ Lowerer::emit_vread(const Instr &n)
         a_.cmov(Cond::l, Reg::rax, Reg::rcx);
         a_.cmp(Reg::rax, Reg::r8);
         a_.cmov(Cond::g, Reg::rax, Reg::r8);
-        a_.load_index8(Reg::rax, Reg::r9, Reg::rax);
+        a_.load_index8(Reg::rax, Reg::rdi, Reg::rax);
         wrap_reg(Reg::rax, s);
     };
 
@@ -435,21 +711,21 @@ Lowerer::emit_vread(const Instr &n)
     a_.lea(Reg::rax, Reg::r10, L);
     a_.cmp(Reg::rax, Reg::rsi);
     a_.jcc(Cond::g, edge);
-    a_.lea_index8(Reg::r9, Reg::r9, Reg::r10); // r9 = &row[ix]
-    int i = 0;
-    if (simd_ != SimdLevel::Scalar) {
-        const int chunk = simd_chunk();
-        for (; i + chunk <= L; i += chunk) {
-            vec_load(Reg::r9, 8 * i);
-            emit_simd_wrap(s, chunk);
-            vec_store(n, i);
-        }
-    }
-    for (; i < L; ++i) {
-        a_.load(Reg::rax, Reg::r9, 8 * i);
-        wrap_reg(Reg::rax, s);
-        st(n, i, Reg::rax);
-    }
+    a_.lea_index8(Reg::rdi, Reg::rdi, Reg::r10); // rdi = &row[ix]
+    emit_lanes(
+        n,
+        [&](int k) {
+            fetch(Vreg::xmm0, ChunkSrc{ChunkSrc::Contiguous, 8 * k},
+                  Reg::rdi);
+            emit_simd_wrap(s, Vreg::xmm0);
+            vstore(n, k, Vreg::xmm0);
+            return true;
+        },
+        [&](int i) {
+            a_.load(Reg::rax, Reg::rdi, 8 * i);
+            wrap_reg(Reg::rax, s);
+            st(n, i, Reg::rax);
+        });
     a_.jmp(done);
 
     // Edge tile: Buffer::at's clamp, one lane per trip of a runtime
@@ -476,11 +752,13 @@ Lowerer::emit_vbitcast(const Instr &n)
     const ScalarType s = n.type().elem;
     const int in_w = bytes(n.arg(0)->type().elem);
     const int out_w = bytes(s);
+    if (out_w == in_w) {
+        emit_map(n, [&](int i) { return adisp(n, 0, i); }, /*wrap=*/true);
+        return;
+    }
     const int L = n.type().lanes;
     for (int i = 0; i < L; ++i) {
-        if (out_w == in_w) {
-            ld(Reg::rax, n, 0, i);
-        } else if (out_w < in_w) {
+        if (out_w < in_w) {
             // One input lane supplies this output lane's bytes.
             const int j = (i * out_w) / in_w;
             const int off = (i * out_w) % in_w;
@@ -519,13 +797,22 @@ Lowerer::emit_node(const Instr &n)
     const int L = t.lanes;
     const std::vector<int64_t> &im = n.imms();
 
-    // Shared emit shapes over constant lane maps.
-    auto copy_lanes = [&](auto src_disp) {
-        for (int i = 0; i < L; ++i) {
-            a_.load(Reg::rax, kArena, src_disp(i));
-            st(n, i, Reg::rax);
-        }
+    // Operand lane maps.
+    auto arg = [&](int ai) -> LaneMap {
+        return [&, ai](int i) { return adisp(n, ai, i); };
     };
+    auto arg_deint = [&](int ai) -> LaneMap {
+        return [&, ai](int i) { return adisp(n, ai, deint(i, L)); };
+    };
+    // Lane deint(i) + off of concat(arg a0, arg a0 + 1).
+    auto cat_deint = [&](int a0, int off) -> LaneMap {
+        return [&, a0, off](int i) {
+            return cat_disp(n, a0, a0 + 1, deint(i, L) + off);
+        };
+    };
+    auto ileave = [&](int i) { return ileave_disp(n, i); };
+
+    // Shared scalar emit shapes.
     auto bin_lanes = [&](void (Assembler::*op)(Reg, Reg), bool sat) {
         for (int i = 0; i < L; ++i) {
             ld(Reg::rax, n, 0, i);
@@ -572,15 +859,6 @@ Lowerer::emit_node(const Instr &n)
             st(n, i, Reg::rax);
         }
     };
-    // acc(i) = base + sum of taps; taps at constant displacements.
-    auto mac_lanes = [&](auto emit_base, auto emit_taps) {
-        for (int i = 0; i < L; ++i) {
-            emit_base(i); // leaves the accumulator in rax
-            emit_taps(i); // adds products into rax (rcx/rdx free)
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
-    };
 
     switch (n.op()) {
       case Opcode::VRead:
@@ -594,36 +872,38 @@ Lowerer::emit_node(const Instr &n)
         emit_vbitcast(n);
         return;
       case Opcode::VCombine:
-        copy_lanes([&](int i) { return cat_disp(n, 0, 1, i); });
+        emit_map(n, [&](int i) { return cat_disp(n, 0, 1, i); }, false);
         return;
       case Opcode::VLo:
-        copy_lanes([&](int i) { return adisp(n, 0, i); });
+        emit_map(n, arg(0), false);
         return;
       case Opcode::VHi:
-        copy_lanes([&](int i) { return adisp(n, 0, L + i); });
+        emit_map(n, [&](int i) { return adisp(n, 0, L + i); }, false);
         return;
       case Opcode::VAlign:
-        copy_lanes([&](int i) {
-            const int j = i + static_cast<int>(im[0]);
-            return j < L ? adisp(n, 0, j) : adisp(n, 1, j - L);
-        });
+        emit_map(n,
+                 [&](int i) {
+                     const int j = i + static_cast<int>(im[0]);
+                     return j < L ? adisp(n, 0, j) : adisp(n, 1, j - L);
+                 },
+                 false);
         return;
       case Opcode::VRor:
-        copy_lanes([&](int i) {
-            return adisp(n, 0, (i + static_cast<int>(im[0])) % L);
-        });
+        emit_map(n,
+                 [&](int i) {
+                     return adisp(n, 0, (i + static_cast<int>(im[0])) % L);
+                 },
+                 false);
         return;
       case Opcode::VShuffVdd:
-        copy_lanes([&](int i) {
-            const int h = L / 2;
-            return adisp(n, 0, i % 2 == 0 ? i / 2 : h + i / 2);
-        });
+        emit_map(n,
+                 [&](int i) {
+                     return adisp(n, 0, i % 2 == 0 ? i / 2 : L / 2 + i / 2);
+                 },
+                 false);
         return;
       case Opcode::VDealVdd:
-        copy_lanes([&](int i) {
-            const int h = L / 2;
-            return adisp(n, 0, i < h ? 2 * i : 2 * (i - h) + 1);
-        });
+        emit_map(n, arg_deint(0), false);
         return;
       case Opcode::VMux:
         for (int i = 0; i < L; ++i) {
@@ -636,11 +916,7 @@ Lowerer::emit_node(const Instr &n)
         }
         return;
       case Opcode::VPackE:
-        for (int i = 0; i < L; ++i) {
-            a_.load(Reg::rax, kArena, ileave_disp(n, i));
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
+        emit_map(n, ileave, true);
         return;
       case Opcode::VPackO: {
         const ScalarType src = n.arg(0)->type().elem;
@@ -663,77 +939,40 @@ Lowerer::emit_node(const Instr &n)
         return;
       case Opcode::VZxt:
       case Opcode::VSxt:
-        for (int i = 0; i < L; ++i) {
-            ld(Reg::rax, n, 0, deint(i, L));
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
+        emit_map(n, arg_deint(0), true);
         return;
-      case Opcode::VAdd: {
-        const int done = emit_simd_bin(n, VecOp::paddq);
-        for (int i = done; i < L; ++i) {
-            ld(Reg::rax, n, 0, i);
-            ld(Reg::rsi, n, 1, i);
-            a_.add(Reg::rax, Reg::rsi);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
+      case Opcode::VAdd:
+        emit_bin(n, &Assembler::add, VecOp::paddq);
         return;
-      }
-      case Opcode::VSub: {
-        const int done = emit_simd_bin(n, VecOp::psubq);
-        for (int i = done; i < L; ++i) {
-            ld(Reg::rax, n, 0, i);
-            ld(Reg::rsi, n, 1, i);
-            a_.sub(Reg::rax, Reg::rsi);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
+      case Opcode::VSub:
+        emit_bin(n, &Assembler::sub, VecOp::psubq);
         return;
-      }
-      case Opcode::VAnd: {
-        const int done = emit_simd_bin(n, VecOp::pand);
-        for (int i = done; i < L; ++i) {
-            ld(Reg::rax, n, 0, i);
-            ld(Reg::rsi, n, 1, i);
-            a_.and_(Reg::rax, Reg::rsi);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
+      case Opcode::VAnd:
+        emit_bin(n, &Assembler::and_, VecOp::pand);
         return;
-      }
-      case Opcode::VOr: {
-        const int done = emit_simd_bin(n, VecOp::por);
-        for (int i = done; i < L; ++i) {
-            ld(Reg::rax, n, 0, i);
-            ld(Reg::rsi, n, 1, i);
-            a_.or_(Reg::rax, Reg::rsi);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
+      case Opcode::VOr:
+        emit_bin(n, &Assembler::or_, VecOp::por);
         return;
-      }
-      case Opcode::VXor: {
-        const int done = emit_simd_bin(n, VecOp::pxor);
-        for (int i = done; i < L; ++i) {
-            ld(Reg::rax, n, 0, i);
-            ld(Reg::rsi, n, 1, i);
-            a_.xor_(Reg::rax, Reg::rsi);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
+      case Opcode::VXor:
+        emit_bin(n, &Assembler::xor_, VecOp::pxor);
         return;
-      }
-      case Opcode::VNot: {
-        const int done = emit_simd_not(n);
-        for (int i = done; i < L; ++i) {
-            ld(Reg::rax, n, 0, i);
-            a_.not_(Reg::rax);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
+      case Opcode::VNot:
+        emit_lanes(
+            n,
+            [&](int k) {
+                fetch(Vreg::xmm0, contiguous(n, 0, k));
+                vop_const(VecOp::pxor, Vreg::xmm0, -1);
+                emit_simd_wrap(s, Vreg::xmm0);
+                vstore(n, k, Vreg::xmm0);
+                return true;
+            },
+            [&](int i) {
+                ld(Reg::rax, n, 0, i);
+                a_.not_(Reg::rax);
+                wrap_reg(Reg::rax, s);
+                st(n, i, Reg::rax);
+            });
         return;
-      }
       case Opcode::VAddSat:
         bin_lanes(&Assembler::add, /*sat=*/true);
         return;
@@ -830,190 +1069,72 @@ Lowerer::emit_node(const Instr &n)
         }
         return;
       }
+      // The multiply family: an optional accumulator plus products.
       case Opcode::VMpy:
-        for (int i = 0; i < L; ++i) {
-            const int j = deint(i, L);
-            ld(Reg::rax, n, 0, j);
-            ld(Reg::rsi, n, 1, j);
-            a_.imul(Reg::rax, Reg::rsi);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
+        emit_mac(n, nullptr, {{arg_deint(0), arg_deint(1)}});
         return;
       case Opcode::VMpyAcc:
-        for (int i = 0; i < L; ++i) {
-            const int j = deint(i, L);
-            ld(Reg::rax, n, 1, j);
-            ld(Reg::rsi, n, 2, j);
-            a_.imul(Reg::rax, Reg::rsi);
-            ld(Reg::rsi, n, 0, i);
-            a_.add(Reg::rax, Reg::rsi);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
+        emit_mac(n, arg(0), {{arg_deint(1), arg_deint(2)}});
         return;
       case Opcode::VMpyi:
-        for (int i = 0; i < L; ++i) {
-            ld(Reg::rax, n, 0, i);
-            ld(Reg::rsi, n, 1, i);
-            a_.imul(Reg::rax, Reg::rsi);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
+        emit_mac(n, nullptr, {{arg(0), arg(1)}});
         return;
       case Opcode::VMpyiAcc:
-        for (int i = 0; i < L; ++i) {
-            ld(Reg::rax, n, 1, i);
-            ld(Reg::rsi, n, 2, i);
-            a_.imul(Reg::rax, Reg::rsi);
-            ld(Reg::rsi, n, 0, i);
-            a_.add(Reg::rax, Reg::rsi);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
+        emit_mac(n, arg(0), {{arg(1), arg(2)}});
         return;
       case Opcode::VMpa:
-        mac_lanes(
-            [&](int i) {
-                const int j = deint(i, L);
-                ld(Reg::rax, n, 0, j);
-                mul_imm(Reg::rax, im[0], Reg::rsi);
-            },
-            [&](int i) {
-                const int j = deint(i, L);
-                ld(Reg::rdx, n, 1, j);
-                mul_imm(Reg::rdx, im[1], Reg::rsi);
-                a_.add(Reg::rax, Reg::rdx);
-            });
+        emit_mac(n, nullptr,
+                 {{arg_deint(0), nullptr, im[0]},
+                  {arg_deint(1), nullptr, im[1]}});
         return;
       case Opcode::VMpaAcc:
-        mac_lanes([&](int i) { ld(Reg::rax, n, 0, i); },
-                  [&](int i) {
-                      const int j = deint(i, L);
-                      ld(Reg::rdx, n, 1, j);
-                      mul_imm(Reg::rdx, im[0], Reg::rsi);
-                      a_.add(Reg::rax, Reg::rdx);
-                      ld(Reg::rdx, n, 2, j);
-                      mul_imm(Reg::rdx, im[1], Reg::rsi);
-                      a_.add(Reg::rax, Reg::rdx);
-                  });
+        emit_mac(n, arg(0),
+                 {{arg_deint(1), nullptr, im[0]},
+                  {arg_deint(2), nullptr, im[1]}});
         return;
       case Opcode::VDmpy:
-        mac_lanes(
-            [&](int i) {
-                const int j = deint(i, L);
-                a_.load(Reg::rax, kArena, cat_disp(n, 0, 1, j));
-                mul_imm(Reg::rax, im[0], Reg::rsi);
-            },
-            [&](int i) {
-                const int j = deint(i, L);
-                a_.load(Reg::rdx, kArena, cat_disp(n, 0, 1, j + 1));
-                mul_imm(Reg::rdx, im[1], Reg::rsi);
-                a_.add(Reg::rax, Reg::rdx);
-            });
-        return;
       case Opcode::VDmpyAcc:
-        mac_lanes([&](int i) { ld(Reg::rax, n, 0, i); },
-                  [&](int i) {
-                      const int j = deint(i, L);
-                      a_.load(Reg::rdx, kArena, cat_disp(n, 1, 2, j));
-                      mul_imm(Reg::rdx, im[0], Reg::rsi);
-                      a_.add(Reg::rax, Reg::rdx);
-                      a_.load(Reg::rdx, kArena,
-                              cat_disp(n, 1, 2, j + 1));
-                      mul_imm(Reg::rdx, im[1], Reg::rsi);
-                      a_.add(Reg::rax, Reg::rdx);
-                  });
-        return;
       case Opcode::VTmpy:
-        mac_lanes(
-            [&](int i) {
-                const int j = deint(i, L);
-                a_.load(Reg::rax, kArena, cat_disp(n, 0, 1, j));
-                mul_imm(Reg::rax, im[0], Reg::rsi);
-            },
-            [&](int i) {
-                const int j = deint(i, L);
-                a_.load(Reg::rdx, kArena, cat_disp(n, 0, 1, j + 1));
-                mul_imm(Reg::rdx, im[1], Reg::rsi);
-                a_.add(Reg::rax, Reg::rdx);
-                a_.load(Reg::rdx, kArena, cat_disp(n, 0, 1, j + 2));
-                a_.add(Reg::rax, Reg::rdx);
-            });
-        return;
       case Opcode::VTmpyAcc:
-        mac_lanes([&](int i) { ld(Reg::rax, n, 0, i); },
-                  [&](int i) {
-                      const int j = deint(i, L);
-                      a_.load(Reg::rdx, kArena, cat_disp(n, 1, 2, j));
-                      mul_imm(Reg::rdx, im[0], Reg::rsi);
-                      a_.add(Reg::rax, Reg::rdx);
-                      a_.load(Reg::rdx, kArena,
-                              cat_disp(n, 1, 2, j + 1));
-                      mul_imm(Reg::rdx, im[1], Reg::rsi);
-                      a_.add(Reg::rax, Reg::rdx);
-                      a_.load(Reg::rdx, kArena,
-                              cat_disp(n, 1, 2, j + 2));
-                      a_.add(Reg::rax, Reg::rdx);
-                  });
-        return;
       case Opcode::VRmpy:
-        mac_lanes([&](int) { a_.xor_(Reg::rax, Reg::rax); },
-                  [&](int i) {
-                      const int j = deint(i, L);
-                      for (int k = 0; k < 4; ++k) {
-                          a_.load(Reg::rdx, kArena,
-                                  cat_disp(n, 0, 1, j + k));
-                          mul_imm(Reg::rdx, im[k], Reg::rsi);
-                          a_.add(Reg::rax, Reg::rdx);
-                      }
-                  });
+      case Opcode::VRmpyAcc: {
+        // Sliding windows over concat(a, b): taps j, j + 1, ... of
+        // j = deint(i); vtmpy's third tap has weight 1.
+        const bool has_acc = n.op() == Opcode::VDmpyAcc ||
+                             n.op() == Opcode::VTmpyAcc ||
+                             n.op() == Opcode::VRmpyAcc;
+        const int a0 = has_acc ? 1 : 0;
+        std::vector<Tap> taps;
+        for (size_t k = 0; k < im.size(); ++k)
+            taps.push_back({cat_deint(a0, static_cast<int>(k)), nullptr,
+                            im[k]});
+        if (n.op() == Opcode::VTmpy || n.op() == Opcode::VTmpyAcc)
+            taps.push_back({cat_deint(a0, 2), nullptr, 1});
+        emit_mac(n, has_acc ? arg(0) : nullptr, taps);
         return;
-      case Opcode::VRmpyAcc:
-        mac_lanes([&](int i) { ld(Reg::rax, n, 0, i); },
-                  [&](int i) {
-                      const int j = deint(i, L);
-                      for (int k = 0; k < 4; ++k) {
-                          a_.load(Reg::rdx, kArena,
-                                  cat_disp(n, 1, 2, j + k));
-                          mul_imm(Reg::rdx, im[k], Reg::rsi);
-                          a_.add(Reg::rax, Reg::rdx);
-                      }
-                  });
-        return;
+      }
       case Opcode::VDotRmpy:
-        mac_lanes([&](int) { a_.xor_(Reg::rax, Reg::rax); },
-                  [&](int i) {
-                      for (int k = 0; k < 4; ++k) {
-                          ld(Reg::rdx, n, 0, 4 * i + k);
-                          ld(Reg::rsi, n, 1, 4 * i + k);
-                          a_.imul(Reg::rdx, Reg::rsi);
-                          a_.add(Reg::rax, Reg::rdx);
-                      }
-                  });
+      case Opcode::VDotRmpyAcc: {
+        // Stride-4 taps match no lane map at AVX2, so they run scalar
+        // there; at SSE2 any two lanes are one interleaved fetch.
+        const bool has_acc = n.op() == Opcode::VDotRmpyAcc;
+        const int a0 = has_acc ? 1 : 0;
+        std::vector<Tap> taps;
+        for (int k = 0; k < 4; ++k)
+            taps.push_back(
+                {[&, a0, k](int i) { return adisp(n, a0, 4 * i + k); },
+                 [&, a0, k](int i) { return adisp(n, a0 + 1, 4 * i + k); }});
+        emit_mac(n, has_acc ? arg(0) : nullptr, taps);
         return;
-      case Opcode::VDotRmpyAcc:
-        mac_lanes([&](int i) { ld(Reg::rax, n, 0, i); },
-                  [&](int i) {
-                      for (int k = 0; k < 4; ++k) {
-                          ld(Reg::rdx, n, 1, 4 * i + k);
-                          ld(Reg::rsi, n, 2, 4 * i + k);
-                          a_.imul(Reg::rdx, Reg::rsi);
-                          a_.add(Reg::rax, Reg::rdx);
-                      }
-                  });
-        return;
+      }
       case Opcode::VMpyIE:
-      case Opcode::VMpyIO:
-        for (int i = 0; i < L; ++i) {
-            const int j = n.op() == Opcode::VMpyIE ? 2 * i : 2 * i + 1;
-            ld(Reg::rax, n, 0, i);
-            ld(Reg::rsi, n, 1, j);
-            a_.imul(Reg::rax, Reg::rsi);
-            wrap_reg(Reg::rax, s);
-            st(n, i, Reg::rax);
-        }
+      case Opcode::VMpyIO: {
+        const int odd = n.op() == Opcode::VMpyIO ? 1 : 0;
+        emit_mac(n, nullptr,
+                 {{arg(0),
+                   [&, odd](int i) { return adisp(n, 1, 2 * i + odd); }}});
         return;
+      }
     }
     RAKE_UNREACHABLE("unhandled opcode in jit lowering");
 }
@@ -1034,8 +1155,14 @@ Lowerer::lower(const hvx::InstrPtr &root)
     a_.load(kX, Reg::rdi, offsetof(Frame, x));
     a_.load(kY, Reg::rdi, offsetof(Frame, y));
 
-    for (const Instr *n : order_)
+    for (const Instr *n : order_) {
+        near_.fill({nullptr, 0});
+        const_regs_.fill(std::nullopt);
+        near_[0] = {n, slot_.at(n)};
+        for (int ai = 0; ai < n->num_args(); ++ai)
+            near_[ai + 1] = {n->arg(ai).get(), slot_.at(n->arg(ai).get())};
         emit_node(*n);
+    }
 
     if (used_avx_)
         a_.vzeroupper();
@@ -1046,9 +1173,11 @@ Lowerer::lower(const hvx::InstrPtr &root)
     a_.ret();
 
     auto p = std::unique_ptr<Program>(new Program());
-    p->arena_.assign(static_cast<size_t>(num_slots_) + pool_.size(), 0);
+    p->arena_.assign(static_cast<size_t>(pool_base()) + pool_.size(), 0);
+    RAKE_CHECK(reinterpret_cast<uintptr_t>(p->arena_.data()) % 16 == 0,
+               "jit arena must be 16-byte aligned");
     std::copy(pool_.begin(), pool_.end(),
-              p->arena_.begin() + num_slots_);
+              p->arena_.begin() + pool_base());
     p->bufs_.resize(buf_ids_.size());
     p->buf_ids_ = std::move(buf_ids_);
     p->splats_ = std::move(splats_);

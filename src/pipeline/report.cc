@@ -261,6 +261,18 @@ execute_benchmark_us(const BenchmarkResult &r, const std::string &mode,
     return total_us;
 }
 
+int64_t
+jit_code_bytes(const BenchmarkResult &r)
+{
+    int64_t total = 0;
+    for (const ExprCompilation &ec : r.exprs)
+        for (const hvx::InstrPtr &prog : {ec.rake, ec.baseline})
+            if (prog)
+                total += static_cast<int64_t>(
+                    jit::Program::compile(prog)->code_size());
+    return total;
+}
+
 namespace {
 
 std::string

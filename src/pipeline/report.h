@@ -103,6 +103,14 @@ double execute_benchmark_us(const BenchmarkResult &r,
                             int height = 64);
 
 /**
+ * Bytes of native code the jit emits for a benchmark at the current
+ * SIMD tier: every expression's Rake and baseline programs, each
+ * compiled once (jit::Program::code_size()). Deterministic for fixed
+ * selections and tier.
+ */
+int64_t jit_code_bytes(const BenchmarkResult &r);
+
+/**
  * Minimal JSON object builder for the drivers' --json output (flat
  * key/value metrics, with put_raw for nested arrays the caller
  * assembles). No external JSON dependency.

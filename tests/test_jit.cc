@@ -229,40 +229,44 @@ TEST(Jit, BindRejectsMistypedBuffer)
     EXPECT_THROW(compiled->bind(env), UserError);
 }
 
-/** One program per opcode family, labelled. */
+/**
+ * One program per opcode family, labelled, over `lanes`-lane operands
+ * (even; a few cases read half or twice as many).
+ */
 std::vector<std::pair<std::string, InstrPtr>>
-opcode_cases()
+opcode_cases(int lanes = 8)
 {
     using hvx::Instr;
-    const InstrPtr a8 = vread(0, u8, 8);
-    const InstrPtr b8 = vread(1, u8, 8, 1);
-    const InstrPtr a8s = vread(0, i8, 8);
-    const InstrPtr b8s = vread(1, i8, 8, -1);
-    const InstrPtr a16 = vread(0, u16, 8);
-    const InstrPtr b16 = vread(1, u16, 8, 2, 1);
-    const InstrPtr a16s = vread(0, i16, 8);
-    const InstrPtr b16s = vread(1, i16, 8, -2, -1);
-    const InstrPtr a32s = vread(0, i32, 4);
+    const int n = lanes;
+    const InstrPtr a8 = vread(0, u8, n);
+    const InstrPtr b8 = vread(1, u8, n, 1);
+    const InstrPtr a8s = vread(0, i8, n);
+    const InstrPtr b8s = vread(1, i8, n, -1);
+    const InstrPtr a16 = vread(0, u16, n);
+    const InstrPtr b16 = vread(1, u16, n, 2, 1);
+    const InstrPtr a16s = vread(0, i16, n);
+    const InstrPtr b16s = vread(1, i16, n, -2, -1);
+    const InstrPtr a32s = vread(0, i32, n / 2);
 
     std::vector<std::pair<std::string, InstrPtr>> cases;
     auto add = [&](const std::string &label, InstrPtr p) {
         cases.emplace_back(label, std::move(p));
     };
 
-    add("vread-offsets", vread(0, u8, 8, -3, 2));
+    add("vread-offsets", vread(0, u8, n, -3, 2));
     add("bitcast-narrow", Instr::make(Opcode::VBitcast, {a16}, {}, u8));
     add("bitcast-narrow-signed",
         Instr::make(Opcode::VBitcast, {a16s}, {}, i8));
     add("bitcast-widen",
-        Instr::make(Opcode::VBitcast, {vread(0, u8, 16)}, {}, u16));
+        Instr::make(Opcode::VBitcast, {vread(0, u8, 2 * n)}, {}, u16));
     add("bitcast-reinterpret",
         Instr::make(Opcode::VBitcast, {a16s}, {}, u16));
     const InstrPtr pair = Instr::make(Opcode::VCombine, {a8, b8});
     add("combine", pair);
     add("lo", Instr::make(Opcode::VLo, {pair}));
     add("hi", Instr::make(Opcode::VHi, {pair}));
-    add("align", Instr::make(Opcode::VAlign, {a8, b8}, {3}));
-    add("ror", Instr::make(Opcode::VRor, {a8}, {5}));
+    add("align", Instr::make(Opcode::VAlign, {a8, b8}, {std::min(3, n)}));
+    add("ror", Instr::make(Opcode::VRor, {a8}, {std::min(5, n - 1)}));
     add("shuff-vdd", Instr::make(Opcode::VShuffVdd, {pair}));
     add("deal-vdd", Instr::make(Opcode::VDealVdd, {pair}));
     const InstrPtr pred = Instr::make(Opcode::VCmpGt, {a8s, b8s});
@@ -304,37 +308,50 @@ opcode_cases()
     const InstrPtr mpy = Instr::make(Opcode::VMpy, {a8, b8});
     add("mpy", mpy);
     add("mpy-signed", Instr::make(Opcode::VMpy, {a8s, b8s}));
-    add("mpy-acc", Instr::make(Opcode::VMpyAcc, {vread(2, u16, 8), a8, b8}));
+    add("mpy-acc", Instr::make(Opcode::VMpyAcc, {vread(2, u16, n), a8, b8}));
     add("mpyi", Instr::make(Opcode::VMpyi, {a16s, b16s}));
     add("mpyi-acc", Instr::make(Opcode::VMpyiAcc, {a16s, a16s, b16s}));
     add("mpa", Instr::make(Opcode::VMpa, {a8, b8}, {3, -2}));
     add("mpa-acc",
-        Instr::make(Opcode::VMpaAcc, {vread(2, i16, 8), a8, b8},
+        Instr::make(Opcode::VMpaAcc, {vread(2, i16, n), a8, b8},
                     {3, -2}));
     add("dmpy", Instr::make(Opcode::VDmpy, {a8, b8}, {2, -3}));
     add("dmpy-acc",
-        Instr::make(Opcode::VDmpyAcc, {vread(2, i16, 8), a8, b8},
+        Instr::make(Opcode::VDmpyAcc, {vread(2, i16, n), a8, b8},
                     {2, -3}));
     add("tmpy", Instr::make(Opcode::VTmpy, {a8, b8}, {2, -1}));
     add("tmpy-acc",
-        Instr::make(Opcode::VTmpyAcc, {vread(2, i16, 8), a8, b8},
+        Instr::make(Opcode::VTmpyAcc, {vread(2, i16, n), a8, b8},
                     {2, -1}));
-    add("rmpy", Instr::make(Opcode::VRmpy, {a8, b8}, {1, -2, 3, -4}));
-    add("rmpy-acc",
-        Instr::make(Opcode::VRmpyAcc, {vread(2, i32, 8), a8, b8},
-                    {1, -2, 3, -4}));
-    add("dot-rmpy",
-        Instr::make(Opcode::VDotRmpy, {vread(0, u8, 16), vread(1, u8, 16)}));
+    // The second half of the window lives apart from the first in the
+    // arena (its slots follow its own operands'), so a chunk whose taps
+    // cross from a8 into it cannot be one load.
+    const InstrPtr apart =
+        Instr::make(Opcode::VAdd, {b8, vread(2, u8, n, 3)});
+    add("dmpy-seam", Instr::make(Opcode::VDmpy, {a8, apart}, {-5, 7}));
+    add("tmpy-seam", Instr::make(Opcode::VTmpy, {a8, apart}, {3, -4}));
+    add("tmpy-acc-seam",
+        Instr::make(Opcode::VTmpyAcc, {vread(3, i16, n), a8, apart},
+                    {-2, 6}));
+    if (n >= 4) { // vrmpy's window reaches lane deint(i) + 3 of the pair
+        add("rmpy", Instr::make(Opcode::VRmpy, {a8, b8}, {1, -2, 3, -4}));
+        add("rmpy-acc",
+            Instr::make(Opcode::VRmpyAcc, {vread(2, i32, n), a8, b8},
+                        {1, -2, 3, -4}));
+    }
+    add("dot-rmpy", Instr::make(Opcode::VDotRmpy,
+                                {vread(0, u8, 2 * n), vread(1, u8, 2 * n)}));
     add("dot-rmpy-signed",
-        Instr::make(Opcode::VDotRmpy, {vread(0, i8, 16), vread(1, i8, 16)}));
+        Instr::make(Opcode::VDotRmpy,
+                    {vread(0, i8, 2 * n), vread(1, i8, 2 * n)}));
     add("dot-rmpy-acc",
         Instr::make(Opcode::VDotRmpyAcc,
-                    {vread(2, i32, 4), vread(0, i8, 16),
-                     vread(1, i8, 16)}));
+                    {vread(2, i32, n / 2), vread(0, i8, 2 * n),
+                     vread(1, i8, 2 * n)}));
     add("mpy-ie",
-        Instr::make(Opcode::VMpyIE, {a32s, vread(1, u16, 8)}));
+        Instr::make(Opcode::VMpyIE, {a32s, vread(1, u16, n)}));
     add("mpy-io",
-        Instr::make(Opcode::VMpyIO, {a32s, vread(1, i16, 8)}));
+        Instr::make(Opcode::VMpyIO, {a32s, vread(1, i16, n)}));
     // A shared-subtree DAG: the jit must evaluate `mpy` once.
     add("shared-subtree",
         Instr::make(Opcode::VAdd,
@@ -388,6 +405,26 @@ TEST(Jit, EveryOpcodeMatchesInterpreterOnWideFramesAtEveryTier)
         for (const auto &[label, prog] : cases) {
             SCOPED_TRACE(label);
             expect_jit_matches_interp(prog, {}, 23, /*width=*/64);
+        }
+    }
+}
+
+// The opcode cases at the suite's widths (64 and 128 lanes: many
+// chunks, so a chunk offset taken from the wrong half shows) and at
+// lane counts below two AVX2 chunks (2 and 6: chunks fall back to
+// scalar lanes or leave a scalar tail), at every SIMD tier.
+TEST(Jit, EveryOpcodeMatchesInterpreterAtEveryLaneCountAndTier)
+{
+    SKIP_IF_NO_JIT();
+    for (const char *tier : simd_tiers()) {
+        SCOPED_TRACE(tier);
+        ScopedEnv force("RAKE_JIT_SIMD", tier);
+        for (int lanes : {2, 6, 64, 128}) {
+            SCOPED_TRACE(std::to_string(lanes) + " lanes");
+            for (const auto &[label, prog] : opcode_cases(lanes)) {
+                SCOPED_TRACE(label);
+                expect_jit_matches_interp(prog, {}, 29, 4 * lanes);
+            }
         }
     }
 }
@@ -665,6 +702,167 @@ TEST(Jit, OutOfRangeStoredValuesWrapLikeInterpreter)
     for (const InstrPtr &read : reads) {
         SCOPED_TRACE(to_string(read->type()));
         expect_tiles_match_interp(read, env, 0, 0, 48, 2);
+    }
+}
+
+TEST(Jit, PackedMultipliesMatchInterpreterOnWideCarriers)
+{
+    // The packed multiply body multiplies the low 32 bits of each
+    // factor (pmuludq), which is exact only because every result type
+    // it runs for is at most 32 bits wide. Feed it factors whose int64
+    // carriers have bits above bit 31 set (negative values, raw
+    // out-of-range buffer lanes wrapped on load), negative immediates,
+    // and multiplies with 64-bit results, which must keep the scalar
+    // body; every tier must match the interpreter.
+    SKIP_IF_NO_JIT();
+    using hvx::Instr;
+    constexpr int kLanes = 16;
+    constexpr ScalarType i64 = ScalarType::Int64;
+    Env env;
+    std::map<ScalarType, int> id_of;
+    for (ScalarType t : {u8, i8, u16, i16, u32, i32}) {
+        const int id = static_cast<int>(id_of.size());
+        Buffer buf(t, 64, 2);
+        Rng rng(static_cast<uint64_t>(id) + 17);
+        for (int64_t &v : buf.data)
+            v = static_cast<int64_t>(rng.next()) >> rng.range(0, 40);
+        env.buffers.emplace(id, std::move(buf));
+        id_of[t] = id;
+    }
+    auto rd_lanes = [&](ScalarType t, int dx, int lanes) {
+        return vread(id_of.at(t), t, lanes, dx);
+    };
+    auto rd = [&](ScalarType t, int dx) {
+        return rd_lanes(t, dx, kLanes);
+    };
+    const InstrPtr w32 = Instr::make(Opcode::VMpy, {rd(i32, 0), rd(i32, 1)});
+    ASSERT_EQ(w32->type().elem, i64);
+    auto wide = [&](int dx) {
+        return Instr::make(Opcode::VSxt, {rd(i32, dx)});
+    };
+    const std::vector<std::pair<std::string, InstrPtr>> cases = {
+        {"mpyi-i32", Instr::make(Opcode::VMpyi, {rd(i32, 0), rd(i32, -1)})},
+        {"mpyi-acc-i32", Instr::make(Opcode::VMpyiAcc,
+                                     {rd(i32, 1), rd(i32, 0), rd(i32, -2)})},
+        {"mpy-i16", Instr::make(Opcode::VMpy, {rd(i16, 0), rd(i16, 1)})},
+        {"mpy-acc-i16",
+         Instr::make(Opcode::VMpyAcc,
+                     {Instr::make(Opcode::VMpy, {rd(i16, 2), rd(i16, 3)}),
+                      rd(i16, 0), rd(i16, -1)})},
+        {"mpy-ie", Instr::make(Opcode::VMpyIE,
+                               {rd_lanes(i32, 0, kLanes / 2), rd(u16, 1)})},
+        {"mpy-io", Instr::make(Opcode::VMpyIO,
+                               {rd_lanes(i32, 0, kLanes / 2), rd(i16, -1)})},
+        {"mpa-i16", Instr::make(Opcode::VMpa, {rd(i16, 0), rd(i16, 1)},
+                                {-32768, 32767})},
+        {"mpa-u8", Instr::make(Opcode::VMpa, {rd(u8, 0), rd(u8, 1)},
+                               {-3, -128})},
+        {"mpa-acc-i8",
+         Instr::make(Opcode::VMpaAcc,
+                     {Instr::make(Opcode::VSxt, {rd(i8, 2)}), rd(i8, 0),
+                      rd(i8, 1)},
+                     {-1, -100})},
+        {"dmpy-i16", Instr::make(Opcode::VDmpy, {rd(i16, 0), rd(i16, 3)},
+                                 {-7, -9})},
+        {"tmpy-acc-u8",
+         Instr::make(Opcode::VTmpyAcc,
+                     {Instr::make(Opcode::VMpa, {rd(u8, 2), rd(u8, 3)},
+                                  {1, 1}),
+                      rd(u8, 0), rd(u8, 1)},
+                     {-2, -3})},
+        {"rmpy-i8", Instr::make(Opcode::VRmpy, {rd(i8, 0), rd(i8, 1)},
+                                {-1, -128, 127, -2})},
+        {"rmpy-acc-u8",
+         Instr::make(Opcode::VRmpyAcc,
+                     {rd(i32, 0), rd(u8, 0), rd(u8, 1)},
+                     {-128, -1, -64, 5})},
+        // 64-bit results: products past 2^32 (but inside int64, where
+        // the interpreter's arithmetic is defined), scalar bodies.
+        {"mpy-i32-to-i64", w32},
+        {"mpa-i32-to-i64", Instr::make(Opcode::VMpa,
+                                       {rd(i32, 0), rd(i32, 2)},
+                                       {-70000, 90001})},
+        {"mpy-acc-i64", Instr::make(Opcode::VMpyAcc,
+                                    {wide(1), rd(i32, -1), rd(i32, 3)})},
+        {"mpyi-i64", Instr::make(Opcode::VMpyi, {wide(0), wide(2)})},
+    };
+    for (const auto &[label, prog] : cases) {
+        SCOPED_TRACE(label);
+        expect_tiles_match_interp(prog, env, 0, 0, 64, 2);
+    }
+}
+
+TEST(Jit, OddLaneCountNodesRunAtEveryTier)
+{
+    // Three-lane nodes put later nodes' slots and the constant pool at
+    // odd arena slots; no packed access may then assume 16-byte
+    // alignment (legacy SSE memory operands fault on it).
+    SKIP_IF_NO_JIT();
+    using hvx::Instr;
+    auto dot = [](int dx) {
+        return Instr::make(Opcode::VDotRmpy,
+                           {vread(0, u8, 12, dx), vread(1, u8, 12, dx)});
+    };
+    const InstrPtr sum = Instr::make(Opcode::VAdd, {dot(0), dot(1)});
+    ASSERT_EQ(sum->type().lanes, 3);
+    for (const char *tier : simd_tiers()) {
+        SCOPED_TRACE(tier);
+        ScopedEnv force("RAKE_JIT_SIMD", tier);
+        expect_jit_matches_interp(sum, {}, 3, 24);
+        expect_jit_matches_interp(
+            Instr::make(Opcode::VNot,
+                        {Instr::make(Opcode::VSub, {sum, dot(2)})}),
+            {}, 5, 24);
+    }
+}
+
+TEST(JitEncoder, EncodesPackedMultiplyAndQwordShuffles)
+{
+    using jit::Vreg;
+    using jit::VecOp;
+    // Legacy SSE: 66 0F op /r.
+    {
+        jit::Assembler a;
+        a.sse_op(VecOp::pmuludq, Vreg::xmm4, Vreg::xmm7);
+        a.sse_op(VecOp::pmuludq, Vreg::xmm6, Vreg::xmm5);
+        a.sse_op(VecOp::punpcklqdq, Vreg::xmm5, Vreg::xmm6);
+        a.sse_op(VecOp::punpcklqdq, Vreg::xmm7, Vreg::xmm4);
+        a.sse_op(VecOp::punpckhqdq, Vreg::xmm7, Vreg::xmm4);
+        a.sse_op(VecOp::punpckhqdq, Vreg::xmm4, Vreg::xmm6);
+        a.sse_op_mem(VecOp::pmuludq, Vreg::xmm6, jit::Reg::rbx, 0x40);
+        const std::vector<uint8_t> want = {
+            0x66, 0x0F, 0xF4, 0xE7, // pmuludq xmm4, xmm7
+            0x66, 0x0F, 0xF4, 0xF5, // pmuludq xmm6, xmm5
+            0x66, 0x0F, 0x6C, 0xEE, // punpcklqdq xmm5, xmm6
+            0x66, 0x0F, 0x6C, 0xFC, // punpcklqdq xmm7, xmm4
+            0x66, 0x0F, 0x6D, 0xFC, // punpckhqdq xmm7, xmm4
+            0x66, 0x0F, 0x6D, 0xE6, // punpckhqdq xmm4, xmm6
+            0x66, 0x0F, 0xF4, 0xB3, 0x40, 0x00, 0x00, 0x00,
+        };
+        EXPECT_EQ(a.code(), want);
+    }
+    // VEX.256: the two-byte prefix where it can express the operands,
+    // the three-byte one for an extended base and for the 0F3A map.
+    {
+        jit::Assembler a;
+        a.avx_op(VecOp::pmuludq, Vreg::xmm4, Vreg::xmm5, Vreg::xmm7);
+        a.avx_op(VecOp::punpcklqdq, Vreg::xmm6, Vreg::xmm4, Vreg::xmm5);
+        a.avx_op(VecOp::punpckhqdq, Vreg::xmm7, Vreg::xmm6, Vreg::xmm4);
+        a.avx_op_mem(VecOp::pmuludq, Vreg::xmm5, Vreg::xmm6,
+                     jit::Reg::rbx, 0x40);
+        a.vpermq(Vreg::xmm5, Vreg::xmm6, 0xD8);
+        a.vpermq(Vreg::xmm7, Vreg::xmm4, 0x4E);
+        a.vmovdqu_load(Vreg::xmm6, jit::Reg::r9, 0x10);
+        const std::vector<uint8_t> want = {
+            0xC5, 0xD5, 0xF4, 0xE7,       // vpmuludq ymm4, ymm5, ymm7
+            0xC5, 0xDD, 0x6C, 0xF5,       // vpunpcklqdq ymm6, ymm4, ymm5
+            0xC5, 0xCD, 0x6D, 0xFC,       // vpunpckhqdq ymm7, ymm6, ymm4
+            0xC5, 0xCD, 0xF4, 0xAB, 0x40, 0x00, 0x00, 0x00,
+            0xC4, 0xE3, 0xFD, 0x00, 0xEE, 0xD8, // vpermq ymm5, ymm6, 0xD8
+            0xC4, 0xE3, 0xFD, 0x00, 0xFC, 0x4E, // vpermq ymm7, ymm4, 0x4E
+            0xC4, 0xC1, 0x7E, 0x6F, 0xB1, 0x10, 0x00, 0x00, 0x00,
+        };
+        EXPECT_EQ(a.code(), want);
     }
 }
 
