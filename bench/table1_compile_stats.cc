@@ -30,7 +30,9 @@
  * rule_instance_rejects / rule_table_size counters (only when
  * nonzero). `--selections PATH` dumps every selected instruction DAG,
  * one canonical s-expression per line, so CI can diff a warm-rule run
- * against a rule-free one for bit-identity.
+ * against a rule-free one for bit-identity. The JSON always carries
+ * each benchmark's `selections_digest`, an FNV-1a 64 hash of those
+ * lines, which CI gates exactly.
  *
  * `--execute jit|interp` runs each selected program over a whole
  * synthetic image after compiling it, reporting wall-clock
@@ -45,6 +47,7 @@
  * dag_cycles (when nonzero).
  */
 #include <chrono>
+#include <cstdio>
 #include <iostream>
 
 #include "backend/neon_backend.h"
@@ -135,6 +138,21 @@ compile_neon_benchmark(const rake::pipeline::Benchmark &bench,
     return result;
 }
 
+/** FNV-1a 64 of `text` as 16 hex digits: a stable selections digest. */
+std::string
+fnv1a_hex(const std::string &text)
+{
+    uint64_t h = 1469598103934665603ull;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
+}
+
 } // namespace
 
 int
@@ -206,19 +224,19 @@ main(int argc, char **argv)
         wall_s += r.wall_seconds;
         exprs += r.optimized_exprs;
         profile.merge(r.profile);
-        if (!args.selections.empty()) {
-            // HVX results keep their typed DAG in r.exprs; backend
-            // runs filled r.selections directly.
-            if (neon_target) {
-                for (const std::string &s : r.selections)
-                    selections_dump += s + "\n";
-            } else {
-                for (const ExprCompilation &ec : r.exprs) {
-                    if (ec.rake)
-                        selections_dump += hvx::to_sexpr(ec.rake) + "\n";
-                }
+        // HVX results keep their typed DAG in r.exprs; backend runs
+        // filled r.selections directly.
+        std::string selected;
+        if (neon_target) {
+            for (const std::string &s : r.selections)
+                selected += s + "\n";
+        } else {
+            for (const ExprCompilation &ec : r.exprs) {
+                if (ec.rake)
+                    selected += hvx::to_sexpr(ec.rake) + "\n";
             }
         }
+        selections_dump += selected;
         Json bj;
         bj.put("name", r.name)
             .put("exprs", r.optimized_exprs)
@@ -232,6 +250,7 @@ main(int argc, char **argv)
             .put("dedup_skips", r.dedup_skips)
             .put("ref_cache_hits", r.ref_cache_hits)
             .put("swizzle_memo_hits", r.swizzle_memo_hits)
+            .put("selections_digest", fnv1a_hex(selected))
             .put("cache_hits", r.cache_hits)
             .put("cache_misses", r.cache_misses);
         // Only when a deadline fired, so no-timeout JSON stays

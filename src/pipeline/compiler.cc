@@ -135,7 +135,7 @@ compile_benchmark(const Benchmark &bench, const CompileOptions &opts)
     // Phase 1 (concurrent): every expression's baseline selection,
     // Rake synthesis, validation, and scheduling are independent of
     // the others — per-expression Verifier / ExamplePool /
-    // SwizzleSolver state is local to the call, and the only shared
+    // SwizzleSearch state is local to the call, and the only shared
     // structure is the mutex-guarded synthesis cache.
     std::vector<ExprCompilation> compiled(n);
     parallel_for(n, jobs, [&](int i) {

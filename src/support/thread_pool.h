@@ -4,7 +4,7 @@
  *
  * The compilation driver uses it to compile the independent kernel
  * expressions of a benchmark concurrently (each expression owns its
- * Verifier / ExamplePool / SwizzleSolver state, so tasks share
+ * Verifier / ExamplePool / SwizzleSearch state, so tasks share
  * nothing but the immutable expression DAGs and the mutex-guarded
  * synthesis cache). The pool is intentionally minimal: submit
  * closures, then wait for the queue to drain; the first exception

@@ -6,16 +6,17 @@
 
 Each positional JSON after the first is a `table1_compile_stats --json`
 report; its "target" field picks the expected block. Every benchmark's
-lift, sketch and swizzle query counts and swizzle memo hits must match
-exactly, and the set of benchmarks must match too. Exits 1 and prints
-every difference otherwise.
+lift, sketch and swizzle query counts, swizzle memo hits and
+selections digest (a hash of its selected programs) must match exactly,
+and the set of benchmarks must match too. Exits 1 and prints every
+difference otherwise.
 """
 
 import json
 import sys
 
 COLUMNS = ["lift_queries", "sketch_queries", "swizzle_queries",
-           "swizzle_memo_hits"]
+           "swizzle_memo_hits", "selections_digest"]
 
 
 def main(argv):
@@ -45,7 +46,8 @@ def main(argv):
         print(d)
     if diffs:
         return 1
-    print(f"table1 query counts match {argv[1]} ({len(argv) - 2} targets)")
+    print(f"table1 query counts and selections match {argv[1]} "
+          f"({len(argv) - 2} targets)")
     return 0
 
 

@@ -201,9 +201,10 @@ TEST_P(SwizzleFuzz, SolverRecoversRandomMoveCompositions)
         }
         synth::Hole hole{VecType(ScalarType::UInt8, L), arr, {}};
         synth::SwizzleStats stats;
-        hvx::Target target;
-        synth::SwizzleSolver solver(target, stats);
-        InstrPtr sol = solver.solve(hole, moves + 2);
+        synth::SwizzleSearch solver(synth::hvx_swizzle_rules(hvx::Target{}),
+                                    stats);
+        InstrPtr sol = std::static_pointer_cast<const Instr>(
+            solver.solve(hole, moves + 2));
         ASSERT_NE(sol, nullptr) << "trial " << trial;
         Env env = fuzz_env(trial + 100, ScalarType::UInt8);
         EXPECT_EQ(hvx::evaluate(sol, env),
