@@ -35,6 +35,27 @@ wrap(ScalarType t, int64_t v)
     return static_cast<int64_t>(u);
 }
 
+/**
+ * a * b and a + b modulo 2^64: the low 64 bits of the exact result,
+ * computed in uint64_t so they are never signed-overflow UB. The
+ * interpreters multiply int64 carriers whose lanes may be full-range
+ * u32 (or 64-bit) and then wrap() to the lane type, which keeps only
+ * low bits; the JIT's imul wraps the same way.
+ */
+inline int64_t
+mul_wrap(int64_t a, int64_t b)
+{
+    return static_cast<int64_t>(static_cast<uint64_t>(a) *
+                                static_cast<uint64_t>(b));
+}
+
+inline int64_t
+add_wrap(int64_t a, int64_t b)
+{
+    return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                                static_cast<uint64_t>(b));
+}
+
 /** Clamp v into the representable range of t (saturating cast). */
 inline int64_t
 saturate(ScalarType t, int64_t v)

@@ -110,7 +110,7 @@ Interpreter::eval_impl(const Expr &e)
             r = wrap(s, x - y);
             break;
           case Op::Mul:
-            r = wrap(s, x * y);
+            r = wrap(s, mul_wrap(x, y));
             break;
           case Op::Min:
             r = std::min(x, y);

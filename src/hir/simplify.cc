@@ -65,7 +65,7 @@ class Simplifier
                 r = wrap(s, cvals[0] - cvals[1]);
                 break;
               case Op::Mul:
-                r = wrap(s, cvals[0] * cvals[1]);
+                r = wrap(s, mul_wrap(cvals[0], cvals[1]));
                 break;
               case Op::Min:
                 r = std::min(cvals[0], cvals[1]);

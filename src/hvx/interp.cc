@@ -312,34 +312,36 @@ Interpreter::eval_impl(const Instr &n)
       }
       case Opcode::VMpy:
         for (int i = 0; i < L; ++i)
-            v[i] = wrap(s, a[0][deint(i)] * a[1][deint(i)]);
+            v[i] = wrap(s, mul_wrap(a[0][deint(i)], a[1][deint(i)]));
         return v;
       case Opcode::VMpyAcc:
         for (int i = 0; i < L; ++i)
-            v[i] = wrap(s, a[0][i] + a[1][deint(i)] * a[2][deint(i)]);
+            v[i] = wrap(s, add_wrap(a[0][i], mul_wrap(a[1][deint(i)],
+                                                       a[2][deint(i)])));
         return v;
       case Opcode::VMpyi:
         for (int i = 0; i < L; ++i)
-            v[i] = wrap(s, a[0][i] * a[1][i]);
+            v[i] = wrap(s, mul_wrap(a[0][i], a[1][i]));
         return v;
       case Opcode::VMpyiAcc:
         for (int i = 0; i < L; ++i)
-            v[i] = wrap(s, a[0][i] + a[1][i] * a[2][i]);
+            v[i] = wrap(s, add_wrap(a[0][i], mul_wrap(a[1][i], a[2][i])));
         return v;
       case Opcode::VMpa:
         for (int i = 0; i < L; ++i)
-            v[i] = wrap(s, a[0][deint(i)] * im[0] +
-                               a[1][deint(i)] * im[1]);
+            v[i] = wrap(s, mul_wrap(a[0][deint(i)], im[0]) +
+                               mul_wrap(a[1][deint(i)], im[1]));
         return v;
       case Opcode::VMpaAcc:
         for (int i = 0; i < L; ++i)
-            v[i] = wrap(s, a[0][i] + a[1][deint(i)] * im[0] +
-                               a[2][deint(i)] * im[1]);
+            v[i] = wrap(s, a[0][i] + mul_wrap(a[1][deint(i)], im[0]) +
+                               mul_wrap(a[2][deint(i)], im[1]));
         return v;
       case Opcode::VDmpy:
         for (int i = 0; i < L; ++i) {
             const int j = deint(i);
-            v[i] = wrap(s, cat(j) * im[0] + cat(j + 1) * im[1]);
+            v[i] = wrap(s, mul_wrap(cat(j), im[0]) +
+                               mul_wrap(cat(j + 1), im[1]));
         }
         return v;
       case Opcode::VDmpyAcc:
@@ -349,14 +351,15 @@ Interpreter::eval_impl(const Instr &n)
                 return k < l1 ? a[1][k] : a[2][k - l1];
             };
             const int j = deint(i);
-            v[i] = wrap(s, a[0][i] + c(j) * im[0] + c(j + 1) * im[1]);
+            v[i] = wrap(s, a[0][i] + mul_wrap(c(j), im[0]) +
+                               mul_wrap(c(j + 1), im[1]));
         }
         return v;
       case Opcode::VTmpy:
         for (int i = 0; i < L; ++i) {
             const int j = deint(i);
-            v[i] = wrap(s, cat(j) * im[0] + cat(j + 1) * im[1] +
-                               cat(j + 2));
+            v[i] = wrap(s, mul_wrap(cat(j), im[0]) +
+                               mul_wrap(cat(j + 1), im[1]) + cat(j + 2));
         }
         return v;
       case Opcode::VTmpyAcc:
@@ -366,8 +369,8 @@ Interpreter::eval_impl(const Instr &n)
                 return k < l1 ? a[1][k] : a[2][k - l1];
             };
             const int j = deint(i);
-            v[i] = wrap(s, a[0][i] + c(j) * im[0] + c(j + 1) * im[1] +
-                               c(j + 2));
+            v[i] = wrap(s, a[0][i] + mul_wrap(c(j), im[0]) +
+                               mul_wrap(c(j + 1), im[1]) + c(j + 2));
         }
         return v;
       case Opcode::VRmpy:
@@ -375,7 +378,7 @@ Interpreter::eval_impl(const Instr &n)
             const int j = deint(i);
             int64_t acc = 0;
             for (int k = 0; k < 4; ++k)
-                acc += cat(j + k) * im[k];
+                acc += mul_wrap(cat(j + k), im[k]);
             v[i] = wrap(s, acc);
         }
         return v;
@@ -388,7 +391,7 @@ Interpreter::eval_impl(const Instr &n)
             const int j = deint(i);
             int64_t acc = a[0][i];
             for (int k = 0; k < 4; ++k)
-                acc += c(j + k) * im[k];
+                acc += mul_wrap(c(j + k), im[k]);
             v[i] = wrap(s, acc);
         }
         return v;
@@ -396,7 +399,8 @@ Interpreter::eval_impl(const Instr &n)
         for (int i = 0; i < L; ++i) {
             int64_t acc = 0;
             for (int k = 0; k < 4; ++k)
-                acc += a[0][4 * i + k] * a[1][4 * i + k];
+                acc = add_wrap(acc, mul_wrap(a[0][4 * i + k],
+                                             a[1][4 * i + k]));
             v[i] = wrap(s, acc);
         }
         return v;
@@ -404,17 +408,18 @@ Interpreter::eval_impl(const Instr &n)
         for (int i = 0; i < L; ++i) {
             int64_t acc = a[0][i];
             for (int k = 0; k < 4; ++k)
-                acc += a[1][4 * i + k] * a[2][4 * i + k];
+                acc = add_wrap(acc, mul_wrap(a[1][4 * i + k],
+                                             a[2][4 * i + k]));
             v[i] = wrap(s, acc);
         }
         return v;
       case Opcode::VMpyIE:
         for (int i = 0; i < L; ++i)
-            v[i] = wrap(s, a[0][i] * a[1][2 * i]);
+            v[i] = wrap(s, mul_wrap(a[0][i], a[1][2 * i]));
         return v;
       case Opcode::VMpyIO:
         for (int i = 0; i < L; ++i)
-            v[i] = wrap(s, a[0][i] * a[1][2 * i + 1]);
+            v[i] = wrap(s, mul_wrap(a[0][i], a[1][2 * i + 1]));
         return v;
       case Opcode::VRead:
       case Opcode::VSplat:

@@ -90,12 +90,13 @@ Interpreter::eval_node(const NInstr &n)
       case NOp::Mul:
       case NOp::Mull:
         for (int i = 0; i < L; ++i)
-            v[i] = wrap(s, (*a[0])[i] * (*a[1])[i]);
+            v[i] = wrap(s, mul_wrap((*a[0])[i], (*a[1])[i]));
         break;
       case NOp::Mla:
       case NOp::Mlal:
         for (int i = 0; i < L; ++i)
-            v[i] = wrap(s, (*a[0])[i] + (*a[1])[i] * (*a[2])[i]);
+            v[i] = wrap(s, add_wrap((*a[0])[i],
+                                    mul_wrap((*a[1])[i], (*a[2])[i])));
         break;
       case NOp::Abd:
         for (int i = 0; i < L; ++i)

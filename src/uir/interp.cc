@@ -69,7 +69,7 @@ Interpreter::eval_impl(const UExpr &e)
         for (int i = 0; i < t.lanes; ++i) {
             int64_t acc = 0;
             for (size_t k = 0; k < nargs; ++k)
-                acc += arg(k)[i] * p.kernel[k];
+                acc += mul_wrap(arg(k)[i], p.kernel[k]);
             v[i] = p.saturate ? saturate(s, acc) : wrap(s, acc);
         }
         break;
@@ -77,7 +77,7 @@ Interpreter::eval_impl(const UExpr &e)
         for (int i = 0; i < t.lanes; ++i) {
             int64_t acc = 0;
             for (size_t k = 0; k + 1 < nargs; k += 2)
-                acc += arg(k)[i] * arg(k + 1)[i];
+                acc = add_wrap(acc, mul_wrap(arg(k)[i], arg(k + 1)[i]));
             v[i] = p.saturate ? saturate(s, acc) : wrap(s, acc);
         }
         break;

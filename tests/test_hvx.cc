@@ -12,6 +12,7 @@
 #include "hvx/interp.h"
 #include "hvx/printer.h"
 #include "hvx/sexpr.h"
+#include "support/rng.h"
 
 namespace rake {
 namespace {
@@ -411,6 +412,32 @@ TEST(HvxInterp, NonWideningMultiplyAndAccumulate)
     for (int i = 0; i < L; ++i) {
         EXPECT_EQ(ma[i], wrap(i16, buf.at(i + 5, 0) +
                                        buf.at(i, 0) * buf.at(i + 2, 0)));
+    }
+}
+
+TEST(HvxInterp, FullRangeU32MultiplyWraps)
+{
+    // Regression: vmpyi multiplied its int64 carriers directly, which
+    // is signed-overflow UB (an abort under UBSan) once both u32
+    // factors exceed ~2^31.5. The lane result is the wrapped product.
+    const ScalarType u32 = ScalarType::UInt32;
+    Env env;
+    Buffer b(u32, 32);
+    Rng rng(7);
+    for (auto &x : b.data)
+        x = rng.range(0, 0xffffffffll);
+    b.data[0] = b.data[16] = 0xffffffffll;
+    env.buffers.emplace(3, b);
+    const VecType t(u32, 16);
+    Value m = evaluate(
+        Instr::make(Opcode::VMpyi,
+                    {Instr::make_read(hir::LoadRef{3, 0, 0}, t),
+                     Instr::make_read(hir::LoadRef{3, 16, 0}, t)}),
+        env);
+    for (int i = 0; i < 16; ++i) {
+        const uint64_t product = static_cast<uint64_t>(b.data[i]) *
+                                 static_cast<uint64_t>(b.data[i + 16]);
+        EXPECT_EQ(m[i], static_cast<int64_t>(product & 0xffffffffu));
     }
 }
 
