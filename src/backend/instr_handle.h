@@ -19,11 +19,24 @@
 #define RAKE_BACKEND_INSTR_HANDLE_H
 
 #include <memory>
+#include <vector>
 
 namespace rake::backend {
 
 /** A type-erased, immutable backend instruction DAG. */
 using InstrHandle = std::shared_ptr<const void>;
+
+/** `handles`, cast back to one backend's node type. */
+template <typename Node>
+std::vector<std::shared_ptr<const Node>>
+handles_as(const std::vector<InstrHandle> &handles)
+{
+    std::vector<std::shared_ptr<const Node>> out;
+    out.reserve(handles.size());
+    for (const InstrHandle &h : handles)
+        out.push_back(std::static_pointer_cast<const Node>(h));
+    return out;
+}
 
 } // namespace rake::backend
 

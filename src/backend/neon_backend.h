@@ -5,9 +5,10 @@
  * Where the original Neon port was a greedy one-template mapping,
  * this backend gives Neon the full synthesis treatment: a sketch
  * grammar with alternative templates per uber-instruction, a swizzle
- * repertoire (vext, vzip/vuzp, vrev, vtbl, vcombine and the free
- * vget_low/high renames), and a cycle-cost model — all driven by the
- * same memoized, backtracking, CEGIS-verified search as HVX.
+ * rule table (vzip/vuzp, vcombine, vext, vrev, vtbl, plus the free
+ * vget_low/high renames) for the shared synth::SwizzleSearch, and a
+ * cycle-cost model — all driven by the same memoized, backtracking,
+ * CEGIS-verified search as HVX.
  *
  * Neon compute instructions never reorder lanes, so the layout
  * parameterization of §5.1 degenerates: only Layout::Linear exists
